@@ -1,10 +1,12 @@
 // Command benchstore is the perf gate of the columnar segment store: it
-// measures cache-miss query throughput of the indexed path (zone maps +
-// sorted per-segment indexes + bitmap intersection) against the compiled
-// row-scan baseline on synthetic clinical-trial data, and hard-fails unless
+// measures cache-miss query throughput of the indexed server path (zone
+// maps + sorted per-segment indexes + bitmap intersection) against the
+// store's row-scan reference (Snapshot.EvalScan plus the aggregate, on the
+// indexed server's pinned snapshot) on synthetic clinical-trial data, and
+// hard-fails unless
 //
-//  1. every indexed answer is byte-identical to the scan-path answer AND to
-//     the seed evaluator Query.Evaluate (identity gate),
+//  1. every indexed answer is byte-identical to the scan answer AND to the
+//     seed evaluator Query.Evaluate (identity gate),
 //
 //  2. the indexed path sustains at least -minspeedup× the scan path's QPS
 //     on selective predicates at the largest row count (speedup gate), and
@@ -15,9 +17,10 @@
 //
 //     benchstore -rows 100000,1000000 -workers 1,2,8 -out BENCH_store.json
 //
-// Both paths run with the answer cache disabled, so every measured query
-// pays full predicate evaluation: the numbers isolate the storage engine,
-// not the cache. Workers sweeps par.SetWorkers, which bounds the per-segment
+// The indexed server runs with the answer cache disabled, so every measured
+// query pays full predicate evaluation: the numbers isolate the storage
+// engine, not the cache. The scan leg skips the server's bookkeeping (query
+// log, protection dispatch), so it can only make the speedup gate harder. Workers sweeps par.SetWorkers, which bounds the per-segment
 // fan-out of both paths. Exits non-zero if any gate fails.
 package main
 
@@ -47,8 +50,8 @@ type Entry struct {
 	// Workload is "selective" (narrow bands, the index's home turf) or
 	// "broad" (threshold sweeps that match large fractions of the data).
 	Workload string `json:"workload"`
-	// Path is "indexed" (segment indexes + bitmaps), "scan" (the compiled
-	// row-at-a-time baseline, -scan on the serve command), or "batched"
+	// Path is "indexed" (segment indexes + bitmaps), "scan" (the store's
+	// row-at-a-time reference, Snapshot.EvalScan plus the aggregate), or "batched"
 	// (AskBatch answering the whole workload in one sharded column sweep;
 	// latency percentiles are then per batch call, not per query).
 	Path string `json:"path"`
@@ -311,14 +314,26 @@ func run(rowsList, workersList string, shapes int, duration time.Duration, minSp
 			{"broad", broadWorkload(d, spans, shapes)},
 		}
 
-		// Both servers run cache-disabled so every answer below is a miss.
-		indexed, err := sdcquery.NewServer(d, sdcquery.Config{Protection: sdcquery.NoProtection, AnswerCacheCap: -1})
+		// The server runs cache-disabled so every answer below is a miss;
+		// the scan leg reads the same store through a pinned snapshot.
+		st, err := store.FromDatasetSharded(d, 0, 0)
 		if err != nil {
 			return err
 		}
-		scan, err := sdcquery.NewServer(d, sdcquery.Config{Protection: sdcquery.NoProtection, AnswerCacheCap: -1, ForceScan: true})
+		indexed, err := sdcquery.NewServerFromStore(st, sdcquery.Config{Protection: sdcquery.NoProtection, AnswerCacheCap: -1})
 		if err != nil {
 			return err
+		}
+		snap := st.Snapshot()
+		paths := []struct {
+			name string
+			ask  func(sdcquery.Query) (float64, error)
+		}{
+			{"indexed", func(q sdcquery.Query) (float64, error) {
+				a, err := indexed.Ask(q)
+				return a.Value, err
+			}},
+			{"scan", func(q sdcquery.Query) (float64, error) { return scanAnswer(snap, q) }},
 		}
 
 		// Identity gate: indexed ≡ scan ≡ the seed evaluator, bit for bit,
@@ -336,14 +351,14 @@ func run(rowsList, workersList string, shapes int, duration time.Duration, minSp
 				if err != nil {
 					return fmt.Errorf("rows=%d %s: indexed Ask(%q): %w", rows, w.name, q, err)
 				}
-				as, err := scan.Ask(q)
+				as, err := scanAnswer(snap, q)
 				if err != nil {
-					return fmt.Errorf("rows=%d %s: scan Ask(%q): %w", rows, w.name, q, err)
+					return fmt.Errorf("rows=%d %s: scan %q: %w", rows, w.name, q, err)
 				}
 				ref := [3]uint64{math.Float64bits(want), 0, 0}
-				if answerBits(ai) != ref || answerBits(as) != ref {
+				if answerBits(ai) != ref || math.Float64bits(as) != ref[0] {
 					return fmt.Errorf("IDENTITY GATE FAILED: rows=%d %q: indexed %x, scan %x, Evaluate %x",
-						rows, q, answerBits(ai), answerBits(as), ref)
+						rows, q, answerBits(ai), math.Float64bits(as), ref)
 				}
 				if w.name == "selective" {
 					selRefs = append(selRefs, ref)
@@ -360,29 +375,21 @@ func run(rowsList, workersList string, shapes int, duration time.Duration, minSp
 			par.SetWorkers(w)
 			// Batched identity gate at this worker count: one AskBatch must
 			// answer the whole selective set bit-identically to the per-query
-			// refs, on both the sharded and the forced-scan path.
-			for _, p := range []struct {
-				name string
-				srv  *sdcquery.Server
-			}{{"indexed", indexed}, {"scan", scan}} {
-				answers, errs := p.srv.AskBatch("", workloads[0].qs)
-				for i, q := range workloads[0].qs {
-					if errs[i] != nil {
-						return fmt.Errorf("rows=%d workers=%d %s AskBatch(%q): %w", rows, w, p.name, q, errs[i])
-					}
-					if answerBits(answers[i]) != selRefs[i] {
-						return fmt.Errorf("BATCH IDENTITY GATE FAILED: rows=%d workers=%d %s %q: batch %x, per-query %x",
-							rows, w, p.name, q, answerBits(answers[i]), selRefs[i])
-					}
+			// refs.
+			answers, errs := indexed.AskBatch("", workloads[0].qs)
+			for i, q := range workloads[0].qs {
+				if errs[i] != nil {
+					return fmt.Errorf("rows=%d workers=%d AskBatch(%q): %w", rows, w, q, errs[i])
+				}
+				if answerBits(answers[i]) != selRefs[i] {
+					return fmt.Errorf("BATCH IDENTITY GATE FAILED: rows=%d workers=%d %q: batch %x, per-query %x",
+						rows, w, q, answerBits(answers[i]), selRefs[i])
 				}
 			}
 			for _, wl := range workloads {
 				var qps [2]float64
-				for pi, p := range []struct {
-					name string
-					srv  *sdcquery.Server
-				}{{"indexed", indexed}, {"scan", scan}} {
-					e, err := timedPhase(rows, w, wl.name, p.name, p.srv, wl.qs, duration)
+				for pi, p := range paths {
+					e, err := timedPhase(rows, w, wl.name, p.name, p.ask, wl.qs, duration)
 					if err != nil {
 						return err
 					}
@@ -508,17 +515,38 @@ func scalingGate(speedups []Speedup, workers []int, largest int, minScaling floa
 	return sg
 }
 
-// timedPhase drives one server with one workload, round-robin, for at least
+// scanAnswer answers q without the indexes: the store's row-at-a-time
+// reference sweep (Snapshot.EvalScan) plus the aggregate over its bitmap.
+func scanAnswer(snap *store.Snapshot, q sdcquery.Query) (float64, error) {
+	bm, err := snap.EvalScan(q.Where)
+	if err != nil {
+		return 0, err
+	}
+	n := bm.Count()
+	switch q.Agg {
+	case sdcquery.Count:
+		return float64(n), nil
+	case sdcquery.Sum:
+		return snap.Sum(bm, snap.Index(q.Attr)), nil
+	default:
+		if n == 0 {
+			return 0, fmt.Errorf("AVG over empty query set")
+		}
+		return snap.Sum(bm, snap.Index(q.Attr)) / float64(n), nil
+	}
+}
+
+// timedPhase drives one path with one workload, round-robin, for at least
 // the duration and at least eight queries, recording every query's latency.
-func timedPhase(rows, workers int, workload, path string, srv *sdcquery.Server, qs []sdcquery.Query, duration time.Duration) (*Entry, error) {
+func timedPhase(rows, workers int, workload, path string, ask func(sdcquery.Query) (float64, error), qs []sdcquery.Query, duration time.Duration) (*Entry, error) {
 	var lat []int64
 	var n int64
 	start := time.Now()
 	for time.Since(start) < duration || n < 8 {
 		q := qs[int(n)%len(qs)]
 		t0 := time.Now()
-		if _, err := srv.Ask(q); err != nil {
-			return nil, fmt.Errorf("rows=%d %s/%s: Ask(%q): %w", rows, workload, path, q, err)
+		if _, err := ask(q); err != nil {
+			return nil, fmt.Errorf("rows=%d %s/%s: %q: %w", rows, workload, path, q, err)
 		}
 		lat = append(lat, time.Since(t0).Nanoseconds())
 		n++
@@ -576,7 +604,7 @@ func timedBatchPhase(rows, workers int, srv *sdcquery.Server, qs []sdcquery.Quer
 // sum — the view an in-flight audit holds must not move — and afterwards a
 // fresh snapshot must see every ingested row.
 func snapshotGate(d *dataset.Dataset, ingest, reevals int) (*SnapshotGate, error) {
-	st, err := store.FromDataset(d, 0)
+	st, err := store.FromDatasetSharded(d, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -643,8 +671,12 @@ func persistGate(d *dataset.Dataset, qs []sdcquery.Query, refs [][3]uint64) (*Pe
 	}
 	defer os.RemoveAll(dir)
 
-	st, err := store.CreateFromDataset(dir, d, store.Options{})
+	st, err := store.Create(dir, d.Attrs(), store.Options{})
 	if err != nil {
+		return nil, err
+	}
+	if err := st.AppendDataset(d); err != nil {
+		st.Close()
 		return nil, err
 	}
 	residentBytes := st.TierStats().ResidentBytes

@@ -106,7 +106,6 @@ func serve(args []string) error {
 	logger := log.Default()
 	reg := obs.NewRegistry()
 	obs.RegisterParallelism(reg)
-	obs.RegisterStoreTiers(reg)
 	registerPIRMetrics(reg, srv)
 	answerHist := reg.Histogram("pir_answer_seconds", obs.DefaultKernelBuckets)
 	mux := http.NewServeMux()

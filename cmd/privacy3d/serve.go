@@ -57,7 +57,6 @@ type serveOpts struct {
 	reqTimeout, grace                     *time.Duration
 	workers                               *int
 	segment                               *int
-	scan                                  *bool
 	shards                                *int
 	batchMax                              *int
 	datadir                               *string
@@ -88,8 +87,6 @@ func serveFlags(fs *flag.FlagSet) *serveOpts {
 	o.workers = workersFlag(fs)
 	o.segment = fs.Int("segment", 0,
 		"columnar store rows per sealed segment, a positive multiple of 64 (0 uses the default, 8192)")
-	o.scan = fs.Bool("scan", false,
-		"answer predicates by the compiled row scan instead of the segment indexes (A/B baseline; answers are byte-identical)")
 	o.shards = fs.Int("shards", 0,
 		"segment shards evaluated in parallel per query (0 uses the default, 16; answers are byte-identical at any count)")
 	o.batchMax = fs.Int("batchmax", 0,
@@ -168,7 +165,7 @@ func cmdServe(args []string) error {
 		Protection: prot, MinSetSize: *minSize, Seed: *seed,
 		Epsilon: *epsilon, Delta: *delta, EpsilonBudget: *budget,
 		AnswerCacheCap: *cacheCap,
-		SegmentSize:    *o.segment, ForceScan: *o.scan,
+		SegmentSize:    *o.segment,
 		Shards:         *o.shards,
 	}
 	if *logCap < 0 {

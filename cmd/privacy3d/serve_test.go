@@ -68,8 +68,11 @@ func TestValidateServeStorageDetectsRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := store.CreateFromDataset(dir, d, store.Options{SegmentSize: 64})
+	st, err := store.Create(dir, d.Attrs(), store.Options{SegmentSize: 64})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendDataset(d); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {

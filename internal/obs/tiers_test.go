@@ -19,7 +19,7 @@ func TestStoreTierGaugesExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	before, _, _, _, _ := store.TierGauges()
-	st, err := store.FromDataset(d, 64)
+	st, err := store.FromDatasetSharded(d, 64, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,6 @@ func TestAskBatchMatchesAskAs(t *testing.T) {
 		{"overlap", Config{Protection: OverlapRestriction}},
 		{"sample", Config{Protection: RandomSample, Seed: 7}},
 		{"dp", Config{Protection: DifferentialPrivacy, Seed: 7, Epsilon: 0.5, EpsilonBudget: 100}},
-		{"scan", Config{Protection: NoProtection, ForceScan: true}},
 		{"sharded3", Config{Protection: NoProtection, Shards: 3, SegmentSize: 64}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -118,24 +117,34 @@ func TestAskBatchMatchesAskAs(t *testing.T) {
 // the serial path's.
 func TestAskBatchPartialFailure(t *testing.T) {
 	d := dataset.SyntheticTrial(dataset.TrialConfig{N: 100, Seed: 5})
-	srv, err := NewServer(d, Config{Protection: NoProtection})
+	// No answer cache: every good item must be evaluated in the same
+	// EvalBatch sweep as the bad ones.
+	srv, err := NewServer(d, Config{Protection: NoProtection, AnswerCacheCap: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := Query{Agg: Count, Where: Predicate{{Col: "no_such_column", Op: Eq, V: 1}}}
 	good := Query{Agg: Count, Where: Predicate{{Col: "height", Op: Ge, V: 150}}}
-	answers, errs := srv.AskBatch("", []Query{good, bad, good})
-	if errs[0] != nil || errs[2] != nil {
-		t.Fatalf("good queries failed: %v, %v", errs[0], errs[2])
+	want, err := good.Evaluate(d)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if errs[1] == nil {
-		t.Fatal("bad query succeeded")
-	}
-	if _, serialErr := srv.Ask(bad); serialErr == nil || serialErr.Error() != errs[1].Error() {
-		t.Fatalf("batch error %q, serial error %q", errs[1], serialErr)
-	}
-	if answers[0].Value != answers[2].Value {
-		t.Fatalf("repeated good query answered differently: %g vs %g", answers[0].Value, answers[2].Value)
+	for _, bad := range []Query{
+		{Agg: Count, Where: Predicate{{Col: "no_such_column", Op: Eq, V: 1}}},
+		{Agg: Count, Where: Predicate{{Col: "height", Op: Op(6), V: 1}}},
+	} {
+		answers, errs := srv.AskBatch("", []Query{good, bad, good, bad})
+		if errs[0] != nil || errs[2] != nil {
+			t.Fatalf("%v: good queries failed: %v, %v", bad, errs[0], errs[2])
+		}
+		if errs[1] == nil || errs[3] == nil {
+			t.Fatalf("%v: bad query succeeded", bad)
+		}
+		if _, serialErr := srv.Ask(bad); serialErr == nil || serialErr.Error() != errs[1].Error() || serialErr.Error() != errs[3].Error() {
+			t.Fatalf("batch errors %q, %q, serial error %q", errs[1], errs[3], serialErr)
+		}
+		if answers[0].Value != want || answers[2].Value != want {
+			t.Fatalf("%v: good query answered %g, %g, want %g", bad, answers[0].Value, answers[2].Value, want)
+		}
 	}
 }
 

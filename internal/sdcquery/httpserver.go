@@ -230,16 +230,6 @@ type HandlerConfig struct {
 	BatchMax int
 }
 
-// NewHTTPHandler wraps a Server in the HTTP API without metrics and with
-// /protect disabled.
-func NewHTTPHandler(srv *Server) http.Handler { return NewHandler(srv, HandlerConfig{}) }
-
-// NewObservedHandler wraps a Server in the HTTP API with metrics and with
-// /protect disabled.
-func NewObservedHandler(srv *Server, reg *obs.Registry) http.Handler {
-	return NewHandler(srv, HandlerConfig{Registry: reg})
-}
-
 // authorizeOwner checks the request's Authorization header against the
 // configured owner token in constant time. It writes the error response and
 // returns false when the request is not authorized.

@@ -20,7 +20,7 @@ func newTestHTTP(t *testing.T, prot Protection) (*httptest.Server, *Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := httptest.NewServer(NewHTTPHandler(srv))
+	h := httptest.NewServer(NewHandler(srv, HandlerConfig{}))
 	t.Cleanup(h.Close)
 	return h, srv
 }
@@ -144,7 +144,7 @@ func TestHTTPStatusAndContentType(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	h := httptest.NewServer(NewObservedHandler(srv, reg))
+	h := httptest.NewServer(NewHandler(srv, HandlerConfig{Registry: reg}))
 	defer h.Close()
 
 	cases := []struct {
@@ -212,7 +212,7 @@ func TestHTTPServeConcurrentReconciles(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	handler := obs.Chain(NewObservedHandler(srv, reg),
+	handler := obs.Chain(NewHandler(srv, HandlerConfig{Registry: reg}),
 		obs.Instrument(reg, "/query", "/sql", "/log", "/metrics"),
 		obs.Recover(reg, nil),
 	)
@@ -340,5 +340,44 @@ func TestHTTPBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown path status = %d", resp.StatusCode)
+	}
+}
+
+// TestHTTPCompileErrorBodies pins the exact bytes a client receives for
+// each predicate compile error on /query and /querybatch, including the
+// "sdcquery:" prefix: clients match on these texts.
+func TestHTTPCompileErrorBodies(t *testing.T) {
+	srv, err := NewServer(dataset.Dataset2(), Config{Protection: NoProtection})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHandler(srv, HandlerConfig{})
+	cases := []struct {
+		name, where, msg string
+	}{
+		{"unknown column", `{"col":"nope","op":"=","v":1}`,
+			`sdcquery: unknown column \"nope\"`},
+		{"ordered op on categorical", `{"col":"aids","op":"<","s":"Y"}`,
+			`sdcquery: operator \u003c not valid for categorical column \"aids\"`},
+		{"string value on numeric", `{"col":"height","op":"=","s":"tall"}`,
+			`sdcquery: string value \"tall\" for numeric column \"height\"`},
+		{"numeric value on categorical", `{"col":"aids","op":"=","v":3}`,
+			`sdcquery: numeric value 3 for categorical column \"aids\"`},
+	}
+	post := func(path, body string) *httptest.ResponseRecorder {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return rr
+	}
+	for _, c := range cases {
+		q := `{"agg":"COUNT","where":[` + c.where + `]}`
+		rr := post("/query", q)
+		if want := `{"error":"` + c.msg + `"}` + "\n"; rr.Code != http.StatusBadRequest || rr.Body.String() != want {
+			t.Errorf("%s: /query = %d %q, want 400 %q", c.name, rr.Code, rr.Body, want)
+		}
+		rr = post("/querybatch", `{"queries":[`+q+`]}`)
+		if want := `{"answers":[{"value":0,"lo":0,"hi":0,"error":"` + c.msg + `"}]}` + "\n"; rr.Code != http.StatusOK || rr.Body.String() != want {
+			t.Errorf("%s: /querybatch = %d %q, want 200 %q", c.name, rr.Code, rr.Body, want)
+		}
 	}
 }

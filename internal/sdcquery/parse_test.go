@@ -1,6 +1,7 @@
 package sdcquery
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -151,6 +152,36 @@ func TestParseQuotedAndBareStringsSetStr(t *testing.T) {
 	}
 }
 
+// TestCondStringRendering pins Cond.String byte for byte. The rendering is
+// part of Query.String, the answer-cache and DP noise key, so any drift
+// would silently change a released noise draw.
+func TestCondStringRendering(t *testing.T) {
+	cases := []struct {
+		c    Cond
+		want string
+	}{
+		{Cond{Col: "x", Op: Lt, V: 1.5}, "x < 1.5"},
+		{Cond{Col: "x", Op: Le, V: -2}, "x <= -2"},
+		{Cond{Col: "x", Op: Gt, V: 1e21}, "x > 1e+21"},
+		{Cond{Col: "x", Op: Ge, V: 0.1}, "x >= 0.1"},
+		{Cond{Col: "x", Op: Eq, V: 3}, "x = 3"},
+		{Cond{Col: "x", Op: Ne, V: 3}, "x != 3"},
+		{Cond{Col: "x", Op: Op(6), V: 3}, "x Op(6) 3"},
+		{Cond{Col: "x", Op: Lt, V: math.NaN()}, "x < NaN"},
+		{Cond{Col: "x", Op: Lt, V: math.Inf(1)}, "x < +Inf"},
+		{Cond{Col: "x", Op: Gt, V: math.Inf(-1)}, "x > -Inf"},
+		{Cond{Col: "x", Op: Eq, V: math.Copysign(0, -1)}, "x = -0"},
+		{Cond{Col: "tag", Op: Eq}, "tag = 0"},
+		{Cond{Col: "tag", Op: Ne, Str: true}, `tag != ""`},
+		{Cond{Col: "tag", Op: Eq, S: "a\"b"}, `tag = "a\"b"`},
+	}
+	for _, c := range cases {
+		if got := c.c.String(); got != c.want {
+			t.Errorf("%#v renders %q, want %q", c.c, got, c.want)
+		}
+	}
+}
+
 func TestParseEmptyStringRoundTrip(t *testing.T) {
 	// The empty-string literal survives String() → ParseQuery() → String()
 	// unchanged and never degrades into a numeric condition — the exact
@@ -195,9 +226,9 @@ func TestParsedKindMismatchesCaughtAtCompile(t *testing.T) {
 			t.Errorf("ParseQuery(%q): %v", c.in, err)
 			continue
 		}
-		_, err = q.Where.Compile(d.Attrs())
+		_, err = q.Evaluate(d)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("Compile(parse(%q)) err = %v, want %q", c.in, err, c.want)
+			t.Errorf("Evaluate(parse(%q)) err = %v, want %q", c.in, err, c.want)
 		}
 	}
 }

@@ -100,7 +100,7 @@ func TestProtectRequiresOwnerToken(t *testing.T) {
 		}
 	}
 
-	// No token configured (the NewHTTPHandler / NewObservedHandler default):
+	// No token configured (the HandlerConfig default):
 	// the endpoint is disabled even with a guessed credential.
 	hOff, _ := newTestHTTP(t, NoProtection)
 	resp, body := postProtect(t, hOff.URL, testOwnerToken, `{"method":"mdav","seed":7}`)

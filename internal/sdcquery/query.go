@@ -27,110 +27,40 @@
 // Identifier-role columns stripped first: direct identifiers never ship,
 // whatever masking method the owner picks.
 //
+// Query predicates are the store's predicate model: Op and Cond alias
+// store.Op and store.Cond, and one compile step (store.Compile) validates
+// a predicate for both the reference evaluator Query.Evaluate and the
+// server's segment indexes, so the two report identical errors.
+//
 // The package also implements the Schlörer tracker attack ([22]) that makes
 // size restriction alone insufficient.
 package sdcquery
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"privacy3d/internal/dataset"
+	"privacy3d/internal/store"
 )
 
-// Op is a comparison operator in a query predicate.
-type Op int
+// Op, Cond and the operator constants are the store's (see the package
+// doc).
+type (
+	Op   = store.Op
+	Cond = store.Cond
+)
 
 const (
-	Lt Op = iota // <
-	Le           // <=
-	Gt           // >
-	Ge           // >=
-	Eq           // ==
-	Ne           // !=
+	Lt = store.Lt
+	Le = store.Le
+	Gt = store.Gt
+	Ge = store.Ge
+	Eq = store.Eq
+	Ne = store.Ne
 )
-
-// String renders the operator.
-func (o Op) String() string {
-	switch o {
-	case Lt:
-		return "<"
-	case Le:
-		return "<="
-	case Gt:
-		return ">"
-	case Ge:
-		return ">="
-	case Eq:
-		return "="
-	case Ne:
-		return "!="
-	default:
-		return fmt.Sprintf("Op(%d)", int(o))
-	}
-}
-
-// Negate returns the complementary operator (¬(x < v) ≡ x >= v, …), the
-// property the individual tracker attack exploits to express set
-// differences with pure conjunctions.
-func (o Op) Negate() Op {
-	switch o {
-	case Lt:
-		return Ge
-	case Le:
-		return Gt
-	case Gt:
-		return Le
-	case Ge:
-		return Lt
-	case Eq:
-		return Ne
-	default:
-		return Eq
-	}
-}
-
-// Cond is one atomic condition: column OP value. For numeric columns V is
-// used; for categorical columns S is used (with Str set) and only Eq/Ne are
-// meaningful.
-type Cond struct {
-	Col string
-	Op  Op
-	V   float64
-	S   string
-	// Str marks the condition as a string comparison even when S is the
-	// empty string. Without it `c = ""` and `c = 0` are indistinguishable
-	// and would render to the same canonical string — which is the answer
-	// cache and camouflage key, so the ambiguity was a correctness bug,
-	// not a cosmetic one. A non-empty S implies a string comparison whether
-	// or not Str is set, keeping hand-built literals working; and for
-	// backward compatibility Compile still accepts a fully zero-valued
-	// comparison (Str unset, S == "", V == 0) against a categorical column
-	// as an empty-string comparison — only V != 0 is a kind mismatch. Note
-	// that such a condition renders numerically (`c = 0`), so set Str when
-	// an empty-string match is intended.
-	Str bool
-}
-
-// IsString reports whether the condition carries a string value (S), as
-// opposed to a numeric one (V).
-func (c Cond) IsString() bool { return c.Str || c.S != "" }
-
-// Negate returns the logical complement of the condition.
-func (c Cond) Negate() Cond {
-	c.Op = c.Op.Negate()
-	return c
-}
-
-// String renders the condition kind-explicitly: string values are always
-// quoted (including the empty string), numeric values never are, so two
-// distinct conditions can never share a rendering.
-func (c Cond) String() string {
-	if c.IsString() {
-		return fmt.Sprintf("%s %s %q", c.Col, c.Op, c.S)
-	}
-	return fmt.Sprintf("%s %s %g", c.Col, c.Op, c.V)
-}
 
 // Predicate is a conjunction of conditions; the empty predicate matches
 // every record.
@@ -156,114 +86,28 @@ func (p Predicate) And(conds ...Cond) Predicate {
 	return out
 }
 
-// compiledCond is one condition with its column index and kind resolved.
-type compiledCond struct {
-	col     int
-	numeric bool
-	op      Op
-	v       float64
-	s       string
+// compile resolves the predicate against a schema, reporting a condition
+// that does not compile under this package's name.
+func (p Predicate) compile(attrs []dataset.Attribute) (store.Compiled, error) {
+	cp, err := store.Compile(attrs, p)
+	return cp, predicateError(err)
 }
 
-// CompiledPredicate is a Predicate resolved once against a schema: column
-// indices, kinds, and operator validity are checked up front, so per-row
-// matching is pure comparisons — no map lookups, no error paths. The seed
-// Predicate.Match re-resolved every column for every row of every
-// condition, which dominated the scan cost on wide predicates.
-type CompiledPredicate struct {
-	conds []compiledCond
-}
-
-// Compile resolves the predicate against a schema. Unknown columns,
-// ordered operators on categorical columns, and value/column kind
-// mismatches are reported here, once, instead of per row.
-func (p Predicate) Compile(attrs []dataset.Attribute) (*CompiledPredicate, error) {
-	cc := make([]compiledCond, len(p))
-	for i, c := range p {
-		j := attrIndex(attrs, c.Col)
-		if j < 0 {
-			return nil, fmt.Errorf("sdcquery: unknown column %q", c.Col)
-		}
-		out := compiledCond{col: j, op: c.Op}
-		if attrs[j].Kind == dataset.Numeric {
-			if c.IsString() {
-				return nil, fmt.Errorf("sdcquery: string value %q for numeric column %q", c.S, c.Col)
-			}
-			out.numeric = true
-			out.v = c.V
-		} else {
-			if c.Op != Eq && c.Op != Ne {
-				return nil, fmt.Errorf("sdcquery: operator %s not valid for categorical column %q", c.Op, c.Col)
-			}
-			if !c.IsString() && c.V != 0 {
-				return nil, fmt.Errorf("sdcquery: numeric value %g for categorical column %q", c.V, c.Col)
-			}
-			// A fully zero-valued Cond (Str unset, S=="", V==0) compiles as
-			// an empty-string comparison — the behavior hand-built literals
-			// had before Str existed.
-			out.s = c.S
-		}
-		cc[i] = out
+// predicateError re-labels a store compile error with this package's
+// prefix — the text clients have always received — and passes any other
+// error through.
+func predicateError(err error) error {
+	var ce *store.CompileError
+	if errors.As(err, &ce) {
+		return errors.New("sdcquery: " + ce.Msg)
 	}
-	return &CompiledPredicate{conds: cc}, nil
-}
-
-// Match reports whether record i of d satisfies the compiled predicate.
-// d must have the schema the predicate was compiled against.
-func (cp *CompiledPredicate) Match(d *dataset.Dataset, i int) bool {
-	for _, c := range cp.conds {
-		var ok bool
-		if c.numeric {
-			v := d.Float(i, c.col)
-			switch c.op {
-			case Lt:
-				ok = v < c.v
-			case Le:
-				ok = v <= c.v
-			case Gt:
-				ok = v > c.v
-			case Ge:
-				ok = v >= c.v
-			case Eq:
-				ok = v == c.v
-			case Ne:
-				ok = v != c.v
-			}
-		} else {
-			ok = (d.Cat(i, c.col) == c.s) == (c.op == Eq)
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// attrIndex returns the column index of name in attrs, or -1.
-func attrIndex(attrs []dataset.Attribute, name string) int {
-	for j, a := range attrs {
-		if a.Name == name {
-			return j
-		}
-	}
-	return -1
-}
-
-// Match reports whether record i of d satisfies the predicate. Unknown
-// columns or operator/kind mismatches yield an error. For repeated calls
-// compile once with Compile and use CompiledPredicate.Match.
-func (p Predicate) Match(d *dataset.Dataset, i int) (bool, error) {
-	cp, err := p.Compile(d.Attrs())
-	if err != nil {
-		return false, err
-	}
-	return cp.Match(d, i), nil
+	return err
 }
 
 // QuerySet returns the indices of records matching the predicate. The
 // predicate is compiled once; the sweep is per-row comparisons only.
 func (p Predicate) QuerySet(d *dataset.Dataset) ([]int, error) {
-	cp, err := p.Compile(d.Attrs())
+	cp, err := p.compile(d.Attrs())
 	if err != nil {
 		return nil, err
 	}
@@ -327,7 +171,7 @@ func aggColumn(attrs []dataset.Attribute, q Query) (int, error) {
 	if q.Agg != Sum && q.Agg != Avg {
 		return 0, fmt.Errorf("sdcquery: unsupported aggregate %v", q.Agg)
 	}
-	j := attrIndex(attrs, q.Attr)
+	j := slices.IndexFunc(attrs, func(a dataset.Attribute) bool { return a.Name == q.Attr })
 	if j < 0 {
 		return 0, fmt.Errorf("sdcquery: unknown attribute %q", q.Attr)
 	}
@@ -357,13 +201,12 @@ func finishAgg(agg Agg, count int, sum float64) (float64, error) {
 }
 
 // Evaluate computes the true (unprotected) answer of the query on d in one
-// compiled sweep: the predicate is compiled once, and count and sum
-// accumulate together row by row. The seed ran two passes — QuerySet
-// building an index slice, then a re-walk summing it — with the predicate
-// re-resolving columns per row; library callers and the server's scan
-// fallback now share this single evaluator.
+// compiled sweep over the dataset's rows: the predicate is compiled once,
+// and count and sum accumulate together row by row. It never touches the
+// store's indexes, which makes it the reference the server's answers are
+// checked against.
 func (q Query) Evaluate(d *dataset.Dataset) (float64, error) {
-	cp, err := q.Where.Compile(d.Attrs())
+	cp, err := q.Where.compile(d.Attrs())
 	if err != nil {
 		return 0, err
 	}

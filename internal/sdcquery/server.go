@@ -1,6 +1,7 @@
 package sdcquery
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand/v2"
@@ -266,11 +267,6 @@ type Config struct {
 	// multiple of 64). Smaller segments seal — and therefore index —
 	// ingested rows sooner at the cost of more per-segment overhead.
 	SegmentSize int
-	// ForceScan answers predicates by the compiled row-at-a-time scan
-	// instead of the segment indexes. Answers are byte-identical either
-	// way (cmd/benchstore gates on it); the switch exists for A/B
-	// benchmarking and as an escape hatch.
-	ForceScan bool
 	// Shards is the number of goroutine-owned segment shards queries
 	// scatter across in the columnar store (default store.DefaultShards).
 	// Answers are byte-identical at any shard count; the knob trades
@@ -363,22 +359,24 @@ func NewServer(d *dataset.Dataset, cfg Config) (*Server, error) {
 		err error
 	)
 	if cfg.DataDir != "" {
-		st, err = store.CreateFromDataset(cfg.DataDir, d, store.Options{
+		st, err = store.Create(cfg.DataDir, d.Attrs(), store.Options{
 			SegmentSize: cfg.SegmentSize,
 			Shards:      cfg.Shards,
 			MemCap:      cfg.MemCap,
 		})
 	} else {
-		st, err = store.FromDatasetSharded(d, cfg.SegmentSize, cfg.Shards)
+		st, err = store.New(d.Attrs(), store.Options{SegmentSize: cfg.SegmentSize, Shards: cfg.Shards})
 	}
 	if err != nil {
 		return nil, err
 	}
+	if err = st.AppendDataset(d); err != nil {
+		st.Close()
+		return nil, err
+	}
 	s, err := NewServerFromStore(st, cfg)
 	if err != nil {
-		if cfg.DataDir != "" {
-			st.Close()
-		}
+		st.Close()
 		return nil, err
 	}
 	// Retain the construction-time dataset so Dataset() can hand it back
@@ -716,46 +714,26 @@ func (s *Server) AskBatch(principal string, qs []Query) (answers []Answer, errs 
 			hit[i], hitA[i] = true, a
 		}
 	}
-	// Evaluate every miss in one sharded sweep. Queries that fail predicate
-	// compilation get their error now and are excluded — EvalBatch itself
-	// fails whole batches, so it only ever sees pre-validated conjunctions.
+	// Evaluate every miss in one sharded sweep. A query whose predicate
+	// does not compile fails alone; EvalBatch still evaluates the rest.
 	missIdx := make([]int, 0, len(qs))
 	batch := make([][]store.Cond, 0, len(qs))
 	for i, q := range qs {
-		if hit[i] {
-			continue
+		if !hit[i] {
+			missIdx = append(missIdx, i)
+			batch = append(batch, q.Where)
 		}
-		conds, err := s.storeConds(snap, q.Where)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		missIdx = append(missIdx, i)
-		batch = append(batch, conds)
 	}
 	bms := make(map[int]*store.Bitmap, len(missIdx))
 	if len(batch) > 0 {
-		var evaled []*store.Bitmap
-		var err error
-		if s.cfg.ForceScan {
-			evaled = make([]*store.Bitmap, len(batch))
-			for k, conds := range batch {
-				if evaled[k], err = snap.EvalScan(conds); err != nil {
-					break
-				}
-			}
-		} else {
-			evaled, err = snap.EvalBatch(batch)
-		}
-		if err != nil {
-			// Unreachable for pre-compiled conjunctions; fail the affected
-			// queries rather than the process if it ever happens.
-			for _, i := range missIdx {
-				errs[i] = err
-			}
-			return answers, errs
-		}
+		evaled, err := snap.EvalBatch(batch)
+		var be *store.BatchError
+		failed := errors.As(err, &be)
 		for k, i := range missIdx {
+			if failed && be.Errs[k] != nil {
+				errs[i] = predicateError(be.Errs[k])
+				continue
+			}
 			bms[i] = evaled[k]
 		}
 	}
@@ -818,8 +796,8 @@ func (s *Server) answer(principal string, snap *store.Snapshot, q Query, bm *sto
 	}
 	if bm == nil {
 		var err error
-		if bm, err = s.eval(snap, q.Where); err != nil {
-			return Answer{}, err
+		if bm, err = snap.Eval(q.Where); err != nil {
+			return Answer{}, predicateError(err)
 		}
 	}
 	if s.cfg.Protection == DifferentialPrivacy {
@@ -864,40 +842,6 @@ func (s *Server) answer(principal string, snap *store.Snapshot, q Query, bm *sto
 	default:
 		return Answer{}, fmt.Errorf("sdcquery: unknown protection %v", s.cfg.Protection)
 	}
-}
-
-// storeConds validates the predicate against the schema and lowers it to
-// store conditions. Validation runs through Predicate.Compile so the error
-// text matches the library evaluator byte for byte, and the conditions are
-// built from the compiled form, not the raw one: Compile has already
-// resolved each condition's kind (including the lenient
-// zero-valued-Cond-as-empty-string case), so the store sees exactly the
-// comparison the library evaluator will run.
-func (s *Server) storeConds(snap *store.Snapshot, p Predicate) ([]store.Cond, error) {
-	attrs := snap.Attrs()
-	cp, err := p.Compile(attrs)
-	if err != nil {
-		return nil, err
-	}
-	conds := make([]store.Cond, len(cp.conds))
-	for i, c := range cp.conds {
-		conds[i] = store.Cond{Col: attrs[c.col].Name, Op: store.Op(c.op), V: c.v, S: c.s, Str: !c.numeric}
-	}
-	return conds, nil
-}
-
-// eval answers the predicate over the snapshot as a row bitmap — via the
-// sharded segment indexes by default, via the compiled scan under
-// Config.ForceScan.
-func (s *Server) eval(snap *store.Snapshot, p Predicate) (*store.Bitmap, error) {
-	conds, err := s.storeConds(snap, p)
-	if err != nil {
-		return nil, err
-	}
-	if s.cfg.ForceScan {
-		return snap.EvalScan(conds)
-	}
-	return snap.Eval(conds)
 }
 
 // evalBitmap computes the true aggregate over an evaluated query set:

@@ -79,29 +79,41 @@ func TestCondStringCollisionRegression(t *testing.T) {
 	}
 }
 
-// TestCompileKindMismatch pins the compiled predicate's up-front
-// validation: string values on numeric columns and numeric values on
-// categorical columns are errors, reported once at compile time.
+// TestCompileKindMismatch pins predicate validation: string values on
+// numeric columns, numeric values on categorical columns, ordered
+// operators on categorical columns, unknown columns and out-of-range
+// operators are errors, and the reference evaluator, the server and the
+// batch path all report the identical error.
 func TestCompileKindMismatch(t *testing.T) {
 	d := mixedDataset()
+	srv, err := NewServer(d, Config{Protection: NoProtection, SegmentSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		p    Predicate
 		want string
 	}{
-		{Predicate{{Col: "x", Op: Eq, S: "hello", Str: true}}, "string value"},
-		{Predicate{{Col: "x", Op: Eq, Str: true}}, "string value"},
-		{Predicate{{Col: "tag", Op: Eq, V: 7}}, "numeric value"},
-		{Predicate{{Col: "tag", Op: Lt, S: "a", Str: true}}, "not valid for categorical"},
-		{Predicate{{Col: "missing", Op: Eq, V: 1}}, "unknown column"},
+		{Predicate{{Col: "x", Op: Eq, S: "hello", Str: true}}, "sdcquery: string value"},
+		{Predicate{{Col: "x", Op: Eq, Str: true}}, "sdcquery: string value"},
+		{Predicate{{Col: "tag", Op: Eq, V: 7}}, "sdcquery: numeric value"},
+		{Predicate{{Col: "tag", Op: Lt, S: "a", Str: true}}, "sdcquery: operator < not valid for categorical"},
+		{Predicate{{Col: "missing", Op: Eq, V: 1}}, "sdcquery: unknown column"},
+		{Predicate{{Col: "x", Op: Op(6), V: 1}}, "sdcquery: unknown operator Op(6)"},
+		{Predicate{{Col: "tag", Op: Op(-1), S: "a"}}, "sdcquery: unknown operator Op(-1)"},
 	}
 	for _, c := range cases {
-		_, err := c.p.Compile(d.Attrs())
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("Compile(%v) err = %v, want %q", c.p, err, c.want)
+		q := Query{Agg: Count, Where: c.p}
+		_, err := q.Evaluate(d)
+		if err == nil || !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("Evaluate(%v) err = %v, want prefix %q", c.p, err, c.want)
+			continue
 		}
-		// The query evaluator and the server must report the same error.
-		if _, err2 := (Query{Agg: Count, Where: c.p}).Evaluate(d); err2 == nil || err2.Error() != err.Error() {
-			t.Errorf("Evaluate(%v) err = %v, want %v", c.p, err2, err)
+		if _, err2 := srv.Ask(q); err2 == nil || err2.Error() != err.Error() {
+			t.Errorf("Ask(%v) err = %v, want %v", c.p, err2, err)
+		}
+		if _, errs := srv.AskBatch("", []Query{q}); errs[0] == nil || errs[0].Error() != err.Error() {
+			t.Errorf("AskBatch(%v) err = %v, want %v", c.p, errs[0], err)
 		}
 	}
 }
@@ -109,8 +121,7 @@ func TestCompileKindMismatch(t *testing.T) {
 // TestServerMatchesEvaluate pins the shared-evaluator satellite across the
 // storage rewire: for every aggregate the unprotected server answer —
 // computed via segment indexes and bitmap-driven sweeps — is byte-identical
-// to Query.Evaluate's compiled scan, on both the indexed and ForceScan
-// configurations and across segment boundaries.
+// to Query.Evaluate's row-at-a-time sweep, across segment boundaries.
 func TestServerMatchesEvaluate(t *testing.T) {
 	d := mixedDataset()
 	queries := []Query{
@@ -119,24 +130,22 @@ func TestServerMatchesEvaluate(t *testing.T) {
 		{Agg: Avg, Attr: "v", Where: Predicate{{Col: "tag", Op: Eq, S: "", Str: true}}},
 		{Agg: Sum, Attr: "v", Where: Predicate{}},
 	}
-	for _, forceScan := range []bool{false, true} {
-		srv, err := NewServer(d, Config{Protection: NoProtection, SegmentSize: 64, ForceScan: forceScan})
+	srv, err := NewServer(d, Config{Protection: NoProtection, SegmentSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range queries {
+		want, err := q.Evaluate(d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, q := range queries {
-			want, err := q.Evaluate(d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a, err := srv.Ask(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Float64bits(a.Value) != math.Float64bits(want) {
-				t.Errorf("forceScan=%v: server %s = %x, Evaluate = %x (byte identity)",
-					forceScan, q, math.Float64bits(a.Value), math.Float64bits(want))
-			}
+		a, err := srv.Ask(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(a.Value) != math.Float64bits(want) {
+			t.Errorf("server %s = %x, Evaluate = %x (byte identity)",
+				q, math.Float64bits(a.Value), math.Float64bits(want))
 		}
 	}
 }
@@ -256,8 +265,8 @@ func TestNoiseIndependentAcrossVersions(t *testing.T) {
 
 // TestZeroValueCondCompat pins the compile lenience for hand-built library
 // conditions: Cond{Col: catCol, Op: Eq} (all fields zero) compiles as an
-// empty-string comparison — the behavior Predicate.Match had before Str
-// existed — on both the library evaluator and the server's index path,
+// empty-string comparison — the behavior hand-built literals had before
+// Str existed — on both the library evaluator and the server's index path,
 // while a non-zero V stays a kind-mismatch error.
 func TestZeroValueCondCompat(t *testing.T) {
 	d := mixedDataset()
@@ -269,24 +278,22 @@ func TestZeroValueCondCompat(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("QuerySet matched %d rows, want the 3 empty-tag rows", len(rows))
 	}
-	for _, forceScan := range []bool{false, true} {
-		srv, err := NewServer(d, Config{Protection: NoProtection, SegmentSize: 64, ForceScan: forceScan})
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := srv.Ask(Query{Agg: Count, Where: zero})
-		if err != nil {
-			t.Fatalf("forceScan=%v: %v", forceScan, err)
-		}
-		if a.Value != 3 {
-			t.Errorf("forceScan=%v: COUNT = %g, want 3", forceScan, a.Value)
-		}
+	srv, err := NewServer(d, Config{Protection: NoProtection, SegmentSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := srv.Ask(Query{Agg: Count, Where: zero})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Value != 3 {
+		t.Errorf("COUNT = %g, want 3", a.Value)
 	}
 	// Ne complement and the surviving error case.
 	if rows, err = (Predicate{{Col: "tag", Op: Ne}}).QuerySet(d); err != nil || len(rows) != 5 {
 		t.Errorf("Ne zero-valued cond: rows=%d err=%v, want 5 rows", len(rows), err)
 	}
-	if _, err := (Predicate{{Col: "tag", Op: Eq, V: 7}}).Compile(d.Attrs()); err == nil {
+	if _, err := (Predicate{{Col: "tag", Op: Eq, V: 7}}).QuerySet(d); err == nil {
 		t.Error("non-zero numeric value against categorical column accepted")
 	}
 }

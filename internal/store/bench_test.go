@@ -17,7 +17,7 @@ func benchSnapshot(b *testing.B, rows int) *Snapshot {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := FromDataset(d, 0)
+	s, err := FromDatasetSharded(d, 0, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

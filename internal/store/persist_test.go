@@ -78,9 +78,12 @@ func createPersistStore(t *testing.T, dir string, rows int, opts Options) *Store
 		opts.SegmentSize = persistSegSize
 	}
 	d := persistDataset(t, rows)
-	s, err := CreateFromDataset(dir, d, opts)
+	s, err := Create(dir, d.Attrs(), opts)
 	if err != nil {
-		t.Fatalf("CreateFromDataset: %v", err)
+		t.Fatalf("Create: %v", err)
+	}
+	if err := s.AppendDataset(d); err != nil {
+		t.Fatalf("AppendDataset: %v", err)
 	}
 	return s
 }
@@ -175,19 +178,22 @@ func TestReopenedStoreKeepsIngesting(t *testing.T) {
 func TestSpillUnderMemCapByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	d := persistDataset(t, persistTestRows)
-	ref, err := FromDataset(d, persistSegSize)
+	ref, err := FromDatasetSharded(d, persistSegSize, 0)
 	if err != nil {
-		t.Fatalf("FromDataset: %v", err)
+		t.Fatalf("FromDatasetSharded: %v", err)
 	}
 	want := queryFingerprint(t, ref.Snapshot())
 
 	// Cap the resident tier below two segments' decoded footprint so most
 	// sealed segments are evicted as ingest rolls on.
-	s, err := CreateFromDataset(dir, d, Options{SegmentSize: persistSegSize, MemCap: 32 << 10, PageBytes: 16 << 10})
+	s, err := Create(dir, d.Attrs(), Options{SegmentSize: persistSegSize, MemCap: 32 << 10, PageBytes: 16 << 10})
 	if err != nil {
-		t.Fatalf("CreateFromDataset: %v", err)
+		t.Fatalf("Create: %v", err)
 	}
 	defer s.Close()
+	if err := s.AppendDataset(d); err != nil {
+		t.Fatalf("AppendDataset: %v", err)
+	}
 	st := s.TierStats()
 	if st.Spilled == 0 {
 		t.Fatalf("no segments spilled under a %d-byte cap (resident=%d bytes=%d)", 32<<10, st.Resident, st.ResidentBytes)

@@ -8,7 +8,7 @@ import (
 // planFor compiles conds against a tiny store and plans them.
 func planFor(t *testing.T, conds []Cond) *plan {
 	t.Helper()
-	s, err := FromDataset(synthRows(10, 7), 0)
+	s, err := FromDatasetSharded(synthRows(10, 7), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestPlanNeStaysResidual(t *testing.T) {
 // aggregate bit.
 func TestPlannedBandMatchesBrute(t *testing.T) {
 	d := synthRows(1000, 99)
-	s, err := FromDataset(d, 128)
+	s, err := FromDatasetSharded(d, 128, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,10 +134,10 @@ func (s *Snapshot) scatter(perSeg func(sg *segment, d *segData, scratch []uint64
 }
 
 // evalTail scans the unindexed open tail with the compiled conjunction.
-func (s *Snapshot) evalTail(cc []compiledCond, bm *Bitmap) {
+func (s *Snapshot) evalTail(cc Compiled, bm *Bitmap) {
 	base := len(s.segs) * s.store.segSize
 	for i := 0; i < s.tailLen; i++ {
-		if s.matchTail(cc, i) {
+		if matchRow(cc, s.tailNums, s.tailCats, i) {
 			bm.Set(base + i)
 		}
 	}
@@ -180,9 +180,8 @@ func (s *Snapshot) Eval(conds []Cond) (*Bitmap, error) {
 
 // EvalScan answers the conjunction by a compiled row-at-a-time sweep over
 // every segment and the tail — the reference path the indexes must stay
-// byte-identical to, and the fallback a -scan server runs. It scatters over
-// the same shards as Eval, so indexed-vs-scan benchmarks compare index
-// structure, not scheduling.
+// byte-identical to. It scatters over the same shards as Eval, so
+// indexed-vs-scan benchmarks compare index structure, not scheduling.
 func (s *Snapshot) EvalScan(conds []Cond) (*Bitmap, error) {
 	cc, err := s.compile(conds)
 	if err != nil {
@@ -207,6 +206,20 @@ func (s *Snapshot) EvalScan(conds []Cond) (*Bitmap, error) {
 	return bm, nil
 }
 
+// BatchError reports the conjunctions of an EvalBatch call that did not
+// compile: Errs[k] is conjunction k's *CompileError, or nil when it
+// compiled and was evaluated.
+type BatchError struct{ Errs []error }
+
+func (e *BatchError) Error() string {
+	for k, err := range e.Errs {
+		if err != nil {
+			return fmt.Sprintf("store: batch query %d: %v", k, err)
+		}
+	}
+	return "store: batch error"
+}
+
 // EvalBatch evaluates a matrix of conjunctions in one column sweep per
 // shard: every shard task visits each of its segments once and tests all
 // planned conjunctions against it while the segment's columns and indexes
@@ -215,17 +228,23 @@ func (s *Snapshot) EvalScan(conds []Cond) (*Bitmap, error) {
 // answer-cache miss path. Each query gets its own bitmap, produced by
 // exactly the per-segment operations Eval would run for it alone, so every
 // batched bitmap is word-identical to the corresponding single-query Eval.
-// An uncompilable conjunction fails the whole batch (callers validating
-// queries individually should compile them first).
+// A conjunction that does not compile gets a nil bitmap and never sinks
+// the rest: they are still evaluated, and the error is a *BatchError
+// naming the failures.
 func (s *Snapshot) EvalBatch(batch [][]Cond) ([]*Bitmap, error) {
 	out := make([]*Bitmap, len(batch))
-	ccs := make([][]compiledCond, len(batch))
+	ccs := make([]Compiled, len(batch))
 	plans := make([]*plan, len(batch))
 	active := make([]int, 0, len(batch)) // queries that must visit segments
+	var failed []error
 	for k, conds := range batch {
 		cc, err := s.compile(conds)
 		if err != nil {
-			return nil, fmt.Errorf("store: batch query %d: %w", k, err)
+			if failed == nil {
+				failed = make([]error, len(batch))
+			}
+			failed[k] = err
+			continue
 		}
 		out[k] = NewBitmap(s.rows)
 		if len(cc) == 0 {
@@ -239,8 +258,12 @@ func (s *Snapshot) EvalBatch(batch [][]Cond) ([]*Bitmap, error) {
 		ccs[k], plans[k] = cc, p
 		active = append(active, k)
 	}
+	var err error
+	if failed != nil {
+		err = &BatchError{Errs: failed}
+	}
 	if len(active) == 0 {
-		return out, nil
+		return out, err
 	}
 	s.scatter(
 		func(sg *segment, d *segData, scratch []uint64) {
@@ -252,14 +275,14 @@ func (s *Snapshot) EvalBatch(batch [][]Cond) ([]*Bitmap, error) {
 			base := len(s.segs) * s.store.segSize
 			for i := 0; i < s.tailLen; i++ {
 				for _, k := range active {
-					if s.matchTail(ccs[k], i) {
+					if matchRow(ccs[k], s.tailNums, s.tailCats, i) {
 						out[k].Set(base + i)
 					}
 				}
 			}
 		},
 	)
-	return out, nil
+	return out, err
 }
 
 // shardState is the store's sharded-execution state, embedded in Store so

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -52,7 +53,7 @@ func checkShardDecomposition(t *testing.T, snap *Snapshot) {
 // between shards as the store grows, and snapshots pinned before an ingest
 // keep their per-shard lists bit-for-bit.
 func TestShardAssignmentDeterministic(t *testing.T) {
-	s, err := NewSharded(testSchema(), 64, 4)
+	s, err := New(testSchema(), Options{SegmentSize: 64, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestShardAssignmentDeterministic(t *testing.T) {
 	checkShardDecomposition(t, s.Snapshot())
 
 	// A second store with the same shard count assigns identically.
-	s2, err := NewSharded(testSchema(), 64, 4)
+	s2, err := New(testSchema(), Options{SegmentSize: 64, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +121,11 @@ func batchShapes() [][]Cond {
 	return [][]Cond{
 		nil, // unconstrained: every row
 		{{Col: "x", Op: Ge, V: 5}, {Col: "x", Op: Lt, V: 10}},
-		{{Col: "x", Op: Eq, V: math.NaN()}},  // matches nothing
-		{{Col: "x", Op: Ne, V: math.NaN()}},  // matches everything, incl. NaN
+		{{Col: "x", Op: Eq, V: math.NaN()}}, // matches nothing
+		{{Col: "x", Op: Ne, V: math.NaN()}}, // matches everything, incl. NaN
 		{{Col: "c", Op: Eq, S: "a"}},
-		{{Col: "c", Op: Eq, Str: true}},      // empty string, present in data
-		{{Col: "c", Op: Ne, S: "zzz"}},       // unknown dictionary string
+		{{Col: "c", Op: Eq, Str: true}}, // empty string, present in data
+		{{Col: "c", Op: Ne, S: "zzz"}},  // unknown dictionary string
 		{{Col: "d", Op: Eq, S: "p"}, {Col: "y", Op: Lt, V: 0}},
 		{{Col: "x", Op: Lt, V: 3}, {Col: "x", Op: Gt, V: 17}}, // contradiction
 		{{Col: "x", Op: Eq, V: 7}, {Col: "c", Op: Ne, S: "b"}, {Col: "d", Op: Eq, S: "q"}},
@@ -182,9 +183,19 @@ func TestEvalBatchMatchesEval(t *testing.T) {
 		}
 		par.SetWorkers(prev)
 	}
-	// One uncompilable query fails the whole batch, naming its index.
-	if _, err := snap.EvalBatch([][]Cond{nil, {{Col: "nope", Op: Eq, V: 1}}}); err == nil {
-		t.Fatal("EvalBatch with unknown column succeeded")
+	// An uncompilable query fails alone: its neighbours are still
+	// evaluated, and the error names exactly the failures.
+	bms, err := snap.EvalBatch([][]Cond{nil, {{Col: "nope", Op: Eq, V: 1}}, {{Col: "x", Op: Op(6)}}})
+	var be *BatchError
+	if !errors.As(err, &be) {
+		t.Fatalf("EvalBatch with uncompilable queries: err = %v, want *BatchError", err)
+	}
+	var ce *CompileError
+	if be.Errs[0] != nil || !errors.As(be.Errs[1], &ce) || !errors.As(be.Errs[2], &ce) {
+		t.Fatalf("BatchError.Errs = %v, want [nil, *CompileError, *CompileError]", be.Errs)
+	}
+	if bms[0] == nil || bms[0].Count() != snap.Rows() || bms[1] != nil || bms[2] != nil {
+		t.Fatalf("bitmaps = %v, want the TRUE conjunction evaluated and nil for the failures", bms)
 	}
 }
 
@@ -193,7 +204,7 @@ func TestEvalBatchMatchesEval(t *testing.T) {
 // version, or answer-cache and noise keys computed against different
 // content would collide.
 func TestRepublishSameRowsBumpsVersion(t *testing.T) {
-	s, err := New(testSchema(), 64)
+	s, err := New(testSchema(), Options{SegmentSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // pin, including across seal boundaries. Run under -race this also verifies
 // the pin/ingest interplay is data-race free.
 func TestSnapshotStableUnderIngest(t *testing.T) {
-	s, err := New(testSchema(), 64)
+	s, err := New(testSchema(), Options{SegmentSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func (s *Store) mustAppendRow(t *testing.T, i int) {
 // only forward, one step per Append — the property answer-cache and noise
 // keys rely on.
 func TestVersionMonotonic(t *testing.T) {
-	s, err := New(testSchema(), 64)
+	s, err := New(testSchema(), Options{SegmentSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

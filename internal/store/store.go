@@ -22,6 +22,14 @@
 // the pinned version, and masked releases materialize it — audits see a
 // consistent database while ingest continues.
 //
+// Predicates. This package holds the system's one predicate model: Op,
+// Cond and Compile, which resolves a conjunction against a schema once and
+// rejects unknown columns and operators, ordered operators on categorical
+// columns and values of the wrong kind with a *CompileError. sdcquery's
+// conditions are these types, and its reference evaluator matches dataset
+// rows with Compiled.Match; the snapshot evaluators compile the same way
+// and only add the dictionary codes of categorical values.
+//
 // Evaluation. Eval answers a conjunction of conditions with one bitmap per
 // snapshot: per segment, each condition resolves to a permutation range
 // (binary search over the sorted index, zone map for whole-segment
@@ -60,43 +68,6 @@ import (
 // multiple of 64 so every segment owns a word-aligned window of the
 // snapshot bitmap (parallel segment evaluation then writes disjoint words).
 const DefaultSegmentSize = 8192
-
-// Op is a comparison operator, ordinal-compatible with sdcquery's.
-type Op int
-
-const (
-	Lt Op = iota // <
-	Le           // <=
-	Gt           // >
-	Ge           // >=
-	Eq           // ==
-	Ne           // !=
-)
-
-// Cond is one predicate condition: column OP value. Numeric conditions use
-// V; string conditions use S with Str set (Str disambiguates the empty
-// string from an absent value, the same contract as sdcquery.Cond).
-type Cond struct {
-	Col string
-	Op  Op
-	V   float64
-	S   string
-	Str bool
-}
-
-// isStr reports whether the condition carries a string value.
-func (c Cond) isStr() bool { return c.Str || c.S != "" }
-
-// compiledCond is a condition resolved against the schema: column index,
-// kind, and (for categorical conditions) the dictionary code.
-type compiledCond struct {
-	col     int
-	numeric bool
-	op      Op
-	v       float64
-	code    uint32
-	codeOK  bool // S is present in the dictionary; if not, Eq matches nothing and Ne everything
-}
 
 // dict is the store-wide string dictionary: append-only, so codes handed to
 // sealed segments never change meaning and snapshot readers need no copy.
@@ -170,18 +141,14 @@ type Store struct {
 	snap atomic.Pointer[Snapshot]
 }
 
-// New creates an empty store with the given schema and the default shard
-// count. segSize ≤ 0 selects DefaultSegmentSize; other values must be
-// positive multiples of 64.
-func New(attrs []dataset.Attribute, segSize int) (*Store, error) {
-	return NewSharded(attrs, segSize, 0)
-}
-
-// NewSharded creates an empty store partitioned into the given number of
-// segment shards (≤ 0 selects DefaultShards). The shard count is fixed for
-// the store's lifetime: segment→shard assignment is deterministic in it.
-func NewSharded(attrs []dataset.Attribute, segSize, shards int) (*Store, error) {
-	s, err := newStore(attrs, segSize, shards, "", Options{})
+// New creates an empty memory-only store with the given schema.
+// opts.SegmentSize ≤ 0 selects DefaultSegmentSize (other values must be
+// positive multiples of 64) and opts.Shards ≤ 0 selects DefaultShards; the
+// shard count is fixed for the store's lifetime, because segment→shard
+// assignment is deterministic in it. The tier options only apply to
+// durable stores (Create).
+func New(attrs []dataset.Attribute, opts Options) (*Store, error) {
+	s, err := newStore(attrs, "", opts)
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +161,8 @@ func NewSharded(attrs []dataset.Attribute, segSize, shards int) (*Store, error) 
 // newStore builds a store shell (schema, shard state, tier bookkeeping,
 // fresh tail) without publishing a snapshot; Create/Open finish durable
 // setup before the first publish.
-func newStore(attrs []dataset.Attribute, segSize, shards int, dir string, opts Options) (*Store, error) {
+func newStore(attrs []dataset.Attribute, dir string, opts Options) (*Store, error) {
+	segSize := opts.SegmentSize
 	if segSize <= 0 {
 		segSize = DefaultSegmentSize
 	}
@@ -213,21 +181,16 @@ func newStore(attrs []dataset.Attribute, segSize, shards int, dir string, opts O
 		dict:    newDict(),
 	}
 	s.tier = newTierState(dir, s.attrs, segSize, opts)
-	s.initShards(shards, segSize)
+	s.initShards(opts.Shards, segSize)
 	s.freshTail()
 	return s, nil
 }
 
-// FromDataset builds a store holding a copy of d's rows (column-wise bulk
-// ingest; d is not retained).
-func FromDataset(d *dataset.Dataset, segSize int) (*Store, error) {
-	return FromDatasetSharded(d, segSize, 0)
-}
-
-// FromDatasetSharded is FromDataset with an explicit shard count (≤ 0
-// selects DefaultShards).
+// FromDatasetSharded builds a memory-only store holding a copy of d's rows
+// (column-wise bulk ingest; d is not retained) with the given segment size
+// and shard count (≤ 0 selects the defaults, as in New).
 func FromDatasetSharded(d *dataset.Dataset, segSize, shards int) (*Store, error) {
-	s, err := NewSharded(d.Attrs(), segSize, shards)
+	s, err := New(d.Attrs(), Options{SegmentSize: segSize, Shards: shards})
 	if err != nil {
 		return nil, err
 	}
@@ -289,7 +252,7 @@ func (s *Store) sealLocked() error {
 // publishLocked installs the current state as the live snapshot and bumps
 // the publish counter that becomes the snapshot's version. The counter —
 // not the row count — is the version so that two publishes with equal row
-// counts but different content (future delete/compact paths, FromDataset
+// counts but different content (future delete/compact paths, dataset
 // rebuilds) can never collide on answer-cache or noise keys.
 func (s *Store) publishLocked() {
 	s.version++
@@ -467,14 +430,7 @@ func (s *Store) Attrs() []dataset.Attribute { return s.attrs }
 func (s *Store) SegmentSize() int { return s.segSize }
 
 // Index returns the column index of the named attribute, or -1.
-func (s *Store) Index(name string) int {
-	for j, a := range s.attrs {
-		if a.Name == name {
-			return j
-		}
-	}
-	return -1
-}
+func (s *Store) Index(name string) int { return attrIndex(s.attrs, name) }
 
 // Snapshot is an immutable view of the store at pin time: the sealed
 // segments plus a frozen prefix of the open tail. All methods are safe for
@@ -505,81 +461,19 @@ func (s *Snapshot) Attrs() []dataset.Attribute { return s.store.attrs }
 // Index returns the column index of the named attribute, or -1.
 func (s *Snapshot) Index(name string) int { return s.store.Index(name) }
 
-// compile resolves conditions against the schema. The rules match the
-// sdcquery compiled predicate exactly: unknown columns, ordered operators
-// on categorical columns, and value/column kind mismatches are errors.
-func (s *Snapshot) compile(conds []Cond) ([]compiledCond, error) {
-	out := make([]compiledCond, len(conds))
-	for i, c := range conds {
-		j := s.store.Index(c.Col)
-		if j < 0 {
-			return nil, fmt.Errorf("store: unknown column %q", c.Col)
-		}
-		cc := compiledCond{col: j, op: c.Op}
-		if c.Op < Lt || c.Op > Ne {
-			return nil, fmt.Errorf("store: unknown operator %v", c.Op)
-		}
-		if s.store.attrs[j].Kind == dataset.Numeric {
-			if c.isStr() {
-				return nil, fmt.Errorf("store: string value %q for numeric column %q", c.S, c.Col)
-			}
-			cc.numeric = true
-			cc.v = c.V
-		} else {
-			// Mirrors sdcquery's lenience: a fully zero-valued condition
-			// (Str unset, S == "", V == 0) is an empty-string comparison;
-			// only V != 0 is a kind mismatch.
-			if !c.isStr() && c.V != 0 {
-				return nil, fmt.Errorf("store: numeric value %g for categorical column %q", c.V, c.Col)
-			}
-			if c.Op != Eq && c.Op != Ne {
-				return nil, fmt.Errorf("store: operator %v not valid for categorical column %q", c.Op, c.Col)
-			}
-			cc.code, cc.codeOK = s.store.dict.lookup(c.S)
-		}
-		out[i] = cc
+// compile resolves conds against the schema (Compile), then the
+// categorical values against the store dictionary.
+func (s *Snapshot) compile(conds []Cond) (Compiled, error) {
+	cc, err := Compile(s.store.attrs, conds)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
-}
-
-// matchTail evaluates the compiled conjunction against tail row i.
-func (s *Snapshot) matchTail(cc []compiledCond, i int) bool {
-	return matchRow(cc, s.tailNums, s.tailCats, i)
-}
-
-// matchRow is the compiled row-at-a-time evaluator shared by the tail and
-// the scan path. Float comparisons give NaN exactly the semantics the
-// index path reproduces (NaN fails everything except !=).
-func matchRow(cc []compiledCond, nums [][]float64, cats [][]uint32, i int) bool {
-	for _, c := range cc {
-		if c.numeric {
-			v := nums[c.col][i]
-			var ok bool
-			switch c.op {
-			case Lt:
-				ok = v < c.v
-			case Le:
-				ok = v <= c.v
-			case Gt:
-				ok = v > c.v
-			case Ge:
-				ok = v >= c.v
-			case Eq:
-				ok = v == c.v
-			case Ne:
-				ok = v != c.v
-			}
-			if !ok {
-				return false
-			}
-		} else {
-			eq := c.codeOK && cats[c.col][i] == c.code
-			if (c.op == Eq) != eq {
-				return false
-			}
+	for i := range cc {
+		if !cc[i].numeric {
+			cc[i].code, cc[i].codeOK = s.store.dict.lookup(cc[i].s)
 		}
 	}
-	return true
+	return cc, nil
 }
 
 // Count returns the number of rows set in bm (popcount).

@@ -104,7 +104,7 @@ func randConds(rng *rand.Rand) []Cond {
 func TestEvalMatchesScanAndBrute(t *testing.T) {
 	// 1000 rows at segSize 128: 7 sealed segments + 104-row tail.
 	d := synthRows(1000, 1)
-	s, err := FromDataset(d, 128)
+	s, err := FromDatasetSharded(d, 128, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestEvalMatchesScanAndBrute(t *testing.T) {
 
 func TestEvalNaNThreshold(t *testing.T) {
 	d := synthRows(300, 3)
-	s, err := FromDataset(d, 128)
+	s, err := FromDatasetSharded(d, 128, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestEvalNaNThreshold(t *testing.T) {
 
 func TestEmptyConjunctionAndUnknowns(t *testing.T) {
 	d := synthRows(100, 4)
-	s, err := FromDataset(d, 64)
+	s, err := FromDatasetSharded(d, 64, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestEmptyConjunctionAndUnknowns(t *testing.T) {
 // category: Cond{S: "", Str: true} must match exactly the empty-string rows.
 func TestEmptyStringIsAValue(t *testing.T) {
 	d := synthRows(500, 5)
-	s, err := FromDataset(d, 128)
+	s, err := FromDatasetSharded(d, 128, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestZoneMapSkipAndAccept(t *testing.T) {
 		{Name: "x", Role: dataset.QuasiIdentifier, Kind: dataset.Numeric},
 		{Name: "k", Role: dataset.Confidential, Kind: dataset.Numeric},
 	}
-	s, err := New(attrs, 64)
+	s, err := New(attrs, Options{SegmentSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestZoneMapSkipAndAccept(t *testing.T) {
 // comparison, and matches != like the scan path.
 func TestZoneMapAllNaNSegment(t *testing.T) {
 	attrs := []dataset.Attribute{{Name: "x", Role: dataset.QuasiIdentifier, Kind: dataset.Numeric}}
-	s, err := New(attrs, 64)
+	s, err := New(attrs, Options{SegmentSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestZoneMapAllNaNSegment(t *testing.T) {
 // non-zero V stays a kind-mismatch error.
 func TestZeroValueCondIsEmptyString(t *testing.T) {
 	d := synthRows(500, 5)
-	s, err := FromDataset(d, 128)
+	s, err := FromDatasetSharded(d, 128, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestZeroValueCondIsEmptyString(t *testing.T) {
 
 func TestMaterializeRoundTrip(t *testing.T) {
 	d := synthRows(700, 6)
-	s, err := FromDataset(d, 128)
+	s, err := FromDatasetSharded(d, 128, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestMaterializeRoundTrip(t *testing.T) {
 }
 
 func TestAppendRowAndAccessors(t *testing.T) {
-	s, err := New(testSchema(), 64)
+	s, err := New(testSchema(), Options{SegmentSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,10 +407,10 @@ func TestAppendRowAndAccessors(t *testing.T) {
 }
 
 func TestInvalidSegmentSize(t *testing.T) {
-	if _, err := New(testSchema(), 100); err == nil {
+	if _, err := New(testSchema(), Options{SegmentSize: 100}); err == nil {
 		t.Fatal("segment size 100 accepted; must be a multiple of 64")
 	}
-	s, err := New(testSchema(), 0)
+	s, err := New(testSchema(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 )
 
 // Two-tier storage. Every store owns a tierState; a memory-only store
-// (New/FromDataset) has dir == "" and keeps every sealed segment resident
+// (New) has dir == "" and keeps every sealed segment resident
 // forever, while a durable store (Create/Open) writes each sealed segment
 // to its own checksummed file at seal time and may then evict the decoded
 // form under a memory cap — the segment stays queryable through its
@@ -43,17 +43,18 @@ func TierGauges() (resident, spilled, pagerHits, pagerMisses, pagerEvictions int
 		gPagerMisses.Load(), gPagerEvictions.Load()
 }
 
-// Options configures a durable store.
+// Options configures a store built by New, Create or Open.
 type Options struct {
 	// SegmentSize is the rows per sealed segment (0 selects
-	// DefaultSegmentSize on Create; on Open it must match the manifest or
-	// be 0).
+	// DefaultSegmentSize on New/Create; on Open it must match the manifest
+	// or be 0).
 	SegmentSize int
 	// Shards is the segment shard count (0 selects DefaultShards on
-	// Create, the manifest's count on Open).
+	// New/Create, the manifest's count on Open).
 	Shards int
-	// MemCap caps the decoded resident bytes of sealed segments; 0 means
-	// uncapped (segments are still persisted, never evicted).
+	// MemCap caps the decoded resident bytes of a durable store's sealed
+	// segments; 0 means uncapped (segments are still persisted, never
+	// evicted).
 	MemCap int64
 	// PageBytes caps the pager's page cache; 0 derives it from MemCap
 	// (or 64 MiB when MemCap is 0 too).
@@ -216,13 +217,13 @@ func (fs *fileSource) Load() (*segData, error) {
 
 // TierStats is a point-in-time view of one store's tier state.
 type TierStats struct {
-	Resident      int   // sealed segments whose decoded form is in memory
-	Spilled       int   // sealed segments served through the pager
-	ResidentBytes int64 // decoded bytes admitted against MemCap
-	PagerHits     int64
-	PagerMisses   int64
+	Resident       int   // sealed segments whose decoded form is in memory
+	Spilled        int   // sealed segments served through the pager
+	ResidentBytes  int64 // decoded bytes admitted against MemCap
+	PagerHits      int64
+	PagerMisses    int64
 	PagerEvictions int64
-	PagerBytes    int64
+	PagerBytes     int64
 }
 
 // TierStats reports the store's tier counters.
@@ -275,7 +276,7 @@ func Create(dir string, attrs []dataset.Attribute, opts Options) (*Store, error)
 	if err != nil {
 		return nil, err
 	}
-	s, err := newStore(attrs, opts.SegmentSize, opts.Shards, dir, opts)
+	s, err := newStore(attrs, dir, opts)
 	if err != nil {
 		lockF.Close()
 		return nil, err
@@ -296,19 +297,6 @@ func Create(dir string, attrs []dataset.Attribute, opts Options) (*Store, error)
 		return nil, err
 	}
 	s.publishLocked()
-	return s, nil
-}
-
-// CreateFromDataset is Create followed by a bulk ingest of d's rows.
-func CreateFromDataset(dir string, d *dataset.Dataset, opts Options) (*Store, error) {
-	s, err := Create(dir, d.Attrs(), opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.AppendDataset(d); err != nil {
-		s.Close()
-		return nil, err
-	}
 	return s, nil
 }
 
@@ -334,11 +322,11 @@ func Open(dir string, opts Options) (*Store, error) {
 		lockF.Close()
 		return nil, fmt.Errorf("store: %s has segment size %d, requested %d", dir, m.SegSize, opts.SegmentSize)
 	}
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = m.Shards
+	opts.SegmentSize = m.SegSize
+	if opts.Shards <= 0 {
+		opts.Shards = m.Shards
 	}
-	s, err := newStore(m.Attrs, m.SegSize, shards, dir, opts)
+	s, err := newStore(m.Attrs, dir, opts)
 	if err != nil {
 		lockF.Close()
 		return nil, err
