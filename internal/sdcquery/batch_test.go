@@ -148,6 +148,35 @@ func TestAskBatchPartialFailure(t *testing.T) {
 	}
 }
 
+// TestAskBatchCountsEachMissOnce pins the cache telemetry of the batch
+// path under a stateless protection: AskBatch's probe is authoritative, so
+// k fresh queries are k misses, not 2k, and their repeats are k hits.
+func TestAskBatchCountsEachMissOnce(t *testing.T) {
+	d := dataset.SyntheticTrial(dataset.TrialConfig{N: 300, Seed: 5})
+	srv, err := NewServer(d, Config{Protection: SizeRestriction, MinSetSize: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := []Query{
+		{Agg: Count, Where: Predicate{{Col: "height", Op: Ge, V: 150}}},
+		{Agg: Sum, Attr: "blood_pressure", Where: Predicate{{Col: "height", Op: Ge, V: 160}}},
+		{Agg: Avg, Attr: "weight", Where: Predicate{{Col: "aids", Op: Eq, S: "Y"}}},
+		{Agg: Count, Where: Predicate{{Col: "height", Op: Lt, V: 100}}}, // denied: set too small
+		{Agg: Sum, Attr: "height", Where: nil},
+	}
+	for round, want := range []struct{ hits, misses int64 }{{0, int64(len(qs))}, {int64(len(qs)), int64(len(qs))}} {
+		_, errs := srv.AskBatch("", qs)
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d query %d: %v", round, i, err)
+			}
+		}
+		if hits, misses, _, _ := srv.CacheStats(); hits != want.hits || misses != want.misses {
+			t.Fatalf("round %d: cache hits/misses = %d/%d, want %d/%d", round, hits, misses, want.hits, want.misses)
+		}
+	}
+}
+
 // TestAskBatchNoPrincipalDP pins that an unidentified DP batch fails every
 // item with ErrNoPrincipal before any evaluation or ε accounting.
 func TestAskBatchNoPrincipalDP(t *testing.T) {

@@ -96,3 +96,30 @@ func TestRandomSampleEmptyAvgDenied(t *testing.T) {
 		t.Error("accepted SUM over categorical attribute")
 	}
 }
+
+// TestRandomSampleGolden pins sampled answers bit for bit: the coins and
+// the order in which the sampled values are added must not change, or
+// every released sample would change with them.
+func TestRandomSampleGolden(t *testing.T) {
+	d := dataset.SyntheticTrial(dataset.TrialConfig{N: 2000, Seed: 3})
+	srv, err := NewServer(d, Config{Protection: RandomSample, SampleRate: 0.5, Seed: 7, SegmentSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		q    Query
+		bits uint64
+	}{
+		{Query{Agg: Sum, Attr: "blood_pressure", Where: Predicate{{Col: "height", Op: Ge, V: 160}}}, 0x410a2c2333333336},
+		{Query{Agg: Avg, Attr: "weight", Where: Predicate{{Col: "aids", Op: Eq, S: "Y"}}}, 0x40523ec0d4c77b05},
+		{Query{Agg: Count, Where: Predicate{{Col: "height", Op: Lt, V: 175}}}, 0x4095380000000000},
+	} {
+		a, err := srv.Ask(tc.q)
+		if err != nil || a.Denied {
+			t.Fatalf("%v: %+v, %v", tc.q, a, err)
+		}
+		if got := math.Float64bits(a.Value); got != tc.bits {
+			t.Errorf("%v = %v (%#x), want %v (%#x)", tc.q, a.Value, got, math.Float64frombits(tc.bits), tc.bits)
+		}
+	}
+}

@@ -626,11 +626,33 @@ func (s *Server) AskAs(principal string, q Query) (Answer, error) {
 	return s.askOne(principal, snap, q, key, cacheable, nil)
 }
 
+// evalSet is a query set evaluated against the pinned snapshot: its bitmap
+// and, when AskBatch's aggregate sweep has already added it up, the total
+// of the query's SUM/AVG column. Computing either releases nothing; the
+// protections decide what leaves the server.
+type evalSet struct {
+	bm     *store.Bitmap
+	sum    float64
+	summed bool
+}
+
+// total returns the query set's sum of column j: the batch sweep's value
+// when there is one, else a Sum over the bitmap. Both are the same float64.
+func (e *evalSet) total(snap *store.Snapshot, j int) float64 {
+	if e.summed {
+		return e.sum
+	}
+	return snap.Sum(e.bm, j)
+}
+
 // askOne is the post-log tail shared by AskAs and AskBatch: cache probe,
-// protection dispatch, cache fill. bm, when non-nil, is the query set
-// already evaluated against snap (AskBatch precomputes it in one sharded
-// sweep); a nil bm evaluates inside the protection path exactly as before.
-func (s *Server) askOne(principal string, snap *store.Snapshot, q Query, key string, cacheable bool, bm *store.Bitmap) (Answer, error) {
+// protection dispatch, cache fill. pre, when non-nil, is the query set
+// AskBatch already evaluated against snap in its batch sweeps; a nil pre
+// evaluates inside the protection path. AskBatch calls askOne only for its
+// own cache misses, and for the stateless protections that probe was
+// authoritative, so askOne probes again only under DifferentialPrivacy —
+// each miss is counted once.
+func (s *Server) askOne(principal string, snap *store.Snapshot, q Query, key string, cacheable bool, pre *evalSet) (Answer, error) {
 	if cacheable && s.cfg.Protection == DifferentialPrivacy {
 		// Under DP the cache IS the accounting dedup, so two concurrent
 		// identical first requests must not both miss and both charge:
@@ -642,7 +664,7 @@ func (s *Server) askOne(principal string, snap *store.Snapshot, q Query, key str
 		m.Lock()
 		defer m.Unlock()
 	}
-	if cacheable {
+	if cacheable && (pre == nil || s.cfg.Protection == DifferentialPrivacy) {
 		if a, ok := s.cache.get(key); ok {
 			if a.Budgeted {
 				a.EpsilonRemaining = s.ledger.Remaining(principal, s.cfg.DatasetID)
@@ -650,7 +672,7 @@ func (s *Server) askOne(principal string, snap *store.Snapshot, q Query, key str
 			return a, nil
 		}
 	}
-	a, err := s.answer(principal, snap, q, bm)
+	a, err := s.answer(principal, snap, q, pre)
 	if err != nil {
 		return a, err
 	}
@@ -666,12 +688,14 @@ func (s *Server) askOne(principal string, snap *store.Snapshot, q Query, key str
 // consistent version. The point of the entry is the miss path: the query
 // sets of every answer-cache miss are evaluated together in one sharded
 // column sweep (store.Snapshot.EvalBatch) — each segment's columns and
-// indexes are loaded once and tested against every missed predicate — and
-// the per-query protection logic then runs in order on the precomputed
-// bitmaps. Each answer is byte-identical to what the equivalent serial
-// AskAs loop would have produced: the stateful protections (auditing,
-// overlap restriction) commit their state per answer in batch order, and
-// the noise/cache keys depend only on (version, principal, query).
+// indexes are loaded once and tested against every missed predicate — the
+// SUM/AVG totals of those sets are added up in one more ascending sweep
+// (store.Snapshot.SumBatch), and the per-query protection logic then runs
+// in order on the precomputed sets. Each answer is byte-identical to what
+// the equivalent serial AskAs loop would have produced: the stateful
+// protections (auditing, overlap restriction) commit their state per
+// answer in batch order, and the noise/cache keys depend only on (version,
+// principal, query).
 //
 // errs[i] reports the i'th query's failure; one malformed query never
 // sinks the rest of the batch.
@@ -724,7 +748,7 @@ func (s *Server) AskBatch(principal string, qs []Query) (answers []Answer, errs 
 			batch = append(batch, q.Where)
 		}
 	}
-	bms := make(map[int]*store.Bitmap, len(missIdx))
+	sets := make([]evalSet, len(qs))
 	if len(batch) > 0 {
 		evaled, err := snap.EvalBatch(batch)
 		var be *store.BatchError
@@ -734,8 +758,9 @@ func (s *Server) AskBatch(principal string, qs []Query) (answers []Answer, errs 
 				errs[i] = predicateError(be.Errs[k])
 				continue
 			}
-			bms[i] = evaled[k]
+			sets[i].bm = evaled[k]
 		}
+		s.sumBatch(snap, qs, missIdx, sets, errs)
 	}
 	// Answer in submission order so the stateful protections mutate their
 	// history exactly like the equivalent serial AskAs loop.
@@ -751,9 +776,39 @@ func (s *Server) AskBatch(principal string, qs []Query) (answers []Answer, errs 
 			answers[i] = a
 			continue
 		}
-		answers[i], errs[i] = s.askOne(principal, snap, q, keys[i], cacheable[i], bms[i])
+		answers[i], errs[i] = s.askOne(principal, snap, q, keys[i], cacheable[i], &sets[i])
 	}
 	return answers, errs
+}
+
+// sumBatch fills in the SUM/AVG totals of the batch's evaluated misses with
+// one SumBatch sweep, which acquires each segment at most once for all of
+// them instead of once per query. Items whose aggregate does not resolve
+// to a numeric column are left unsummed and fail in the protection path
+// exactly as they would alone. RandomSample sums a subsample, never the
+// full set, so it takes no totals.
+func (s *Server) sumBatch(snap *store.Snapshot, qs []Query, missIdx []int, sets []evalSet, errs []error) {
+	if s.cfg.Protection == RandomSample {
+		return
+	}
+	var idx, cols []int
+	var bms []*store.Bitmap
+	for _, i := range missIdx {
+		if errs[i] != nil {
+			continue
+		}
+		j, err := aggColumn(snap.Attrs(), qs[i])
+		if err != nil || j < 0 {
+			continue
+		}
+		idx, cols, bms = append(idx, i), append(cols, j), append(bms, sets[i].bm)
+	}
+	if len(idx) == 0 {
+		return
+	}
+	for k, sum := range snap.SumBatch(bms, cols) {
+		sets[idx[k]].sum, sets[idx[k]].summed = sum, true
+	}
 }
 
 // fnvStripe maps a key to one of n lock stripes via FNV-1a.
@@ -784,61 +839,62 @@ func (s *Server) cacheKey(principal string, version uint64, q Query) (string, bo
 // query-set evaluation — index range scans intersected into a bitmap —
 // always runs outside any server-wide lock (the snapshot is immutable);
 // only the stateful protections then serialize, on stateMu, around their
-// atomic check-and-commit. bm, when non-nil, is the already-evaluated
+// atomic check-and-commit. set, when non-nil, is the already-evaluated
 // query set (the batched miss path); protection dispatch is identical
-// either way, so a precomputed bitmap cannot change a single answer byte.
-func (s *Server) answer(principal string, snap *store.Snapshot, q Query, bm *store.Bitmap) (Answer, error) {
+// either way, so a precomputed set cannot change a single answer byte.
+func (s *Server) answer(principal string, snap *store.Snapshot, q Query, set *evalSet) (Answer, error) {
 	if s.cfg.Protection == DifferentialPrivacy && principal == "" {
 		// Checked before any evaluation, matching the historical precedence:
 		// an unidentified DP caller learns nothing, not even whether the
 		// predicate compiles.
 		return Answer{}, fmt.Errorf("sdcquery: differential privacy needs a principal for budget accounting: %w", dp.ErrNoPrincipal)
 	}
-	if bm == nil {
-		var err error
-		if bm, err = snap.Eval(q.Where); err != nil {
+	if set == nil {
+		bm, err := snap.Eval(q.Where)
+		if err != nil {
 			return Answer{}, predicateError(err)
 		}
+		set = &evalSet{bm: bm}
 	}
 	if s.cfg.Protection == DifferentialPrivacy {
-		return s.dpAnswer(principal, snap, q, bm)
+		return s.dpAnswer(principal, snap, q, set)
 	}
-	n := bm.Count()
+	n := set.bm.Count()
 	switch s.cfg.Protection {
 	case NoProtection:
-		return s.exact(snap, q, bm, n)
+		return s.exact(snap, q, set, n)
 	case SizeRestriction:
 		if n < s.cfg.MinSetSize || n > snap.Rows()-s.cfg.MinSetSize {
 			return Answer{Denied: true, Reason: fmt.Sprintf("query set size %d outside [%d,%d]",
 				n, s.cfg.MinSetSize, snap.Rows()-s.cfg.MinSetSize)}, nil
 		}
-		return s.exact(snap, q, bm, n)
+		return s.exact(snap, q, set, n)
 	case Auditing:
-		return s.audited(snap, q, bm, n)
+		return s.audited(snap, q, set, n)
 	case Perturbation:
-		a, err := s.exact(snap, q, bm, n)
+		a, err := s.exact(snap, q, set, n)
 		if err != nil || a.Denied {
 			return a, err
 		}
 		a.Value += s.perturbNoise(snap.Version(), q)
 		return a, nil
 	case Camouflage:
-		a, err := s.exact(snap, q, bm, n)
+		a, err := s.exact(snap, q, set, n)
 		if err != nil || a.Denied {
 			return a, err
 		}
 		return s.camouflage(snap.Version(), q, a.Value), nil
 	case OverlapRestriction:
-		rows := bm.Rows()
+		rows := set.bm.Rows()
 		s.stateMu.Lock()
 		ok, reason := s.overlap.Admit(rows)
 		s.stateMu.Unlock()
 		if !ok {
 			return Answer{Denied: true, Reason: "overlap control: " + reason}, nil
 		}
-		return s.exact(snap, q, bm, n)
+		return s.exact(snap, q, set, n)
 	case RandomSample:
-		return s.sampled(snap, q, bm)
+		return s.sampled(snap, q, set.bm)
 	default:
 		return Answer{}, fmt.Errorf("sdcquery: unknown protection %v", s.cfg.Protection)
 	}
@@ -850,20 +906,20 @@ func (s *Server) answer(principal string, snap *store.Snapshot, q Query, bm *sto
 // summation order as the scan paths, so every evaluator agrees byte for
 // byte. Validation and finishing are shared with Query.Evaluate
 // (aggColumn, finishAgg).
-func (s *Server) evalBitmap(snap *store.Snapshot, q Query, bm *store.Bitmap, n int) (float64, error) {
+func (s *Server) evalBitmap(snap *store.Snapshot, q Query, set *evalSet, n int) (float64, error) {
 	j, err := aggColumn(snap.Attrs(), q)
 	if err != nil {
 		return 0, err
 	}
 	var sum float64
 	if j >= 0 {
-		sum = snap.Sum(bm, j)
+		sum = set.total(snap, j)
 	}
 	return finishAgg(q.Agg, n, sum)
 }
 
-func (s *Server) exact(snap *store.Snapshot, q Query, bm *store.Bitmap, n int) (Answer, error) {
-	v, err := s.evalBitmap(snap, q, bm, n)
+func (s *Server) exact(snap *store.Snapshot, q Query, set *evalSet, n int) (Answer, error) {
+	v, err := s.evalBitmap(snap, q, set, n)
 	if err != nil {
 		return Answer{}, err
 	}
@@ -898,7 +954,7 @@ func (s *Server) perturbNoise(version uint64, q Query) float64 {
 
 // --- differential privacy ------------------------------------------------
 
-// dpAnswer releases the evaluated query set bm under the calibrated-noise
+// dpAnswer releases the evaluated query set under the calibrated-noise
 // mechanism and debits the principal's ε budget (answer has already
 // rejected unidentified callers). The order matters for both privacy and
 // accounting: the true answer and its sensitivity are computed first (no
@@ -906,8 +962,8 @@ func (s *Server) perturbNoise(version uint64, q Query) float64 {
 // refused query releases nothing and costs nothing — and only a granted
 // charge proceeds to noise derivation. Errors wrap dp.ErrBudgetExhausted
 // (ε spent) and carry no information about the data.
-func (s *Server) dpAnswer(principal string, snap *store.Snapshot, q Query, bm *store.Bitmap) (Answer, error) {
-	n := bm.Count()
+func (s *Server) dpAnswer(principal string, snap *store.Snapshot, q Query, set *evalSet) (Answer, error) {
+	n := set.bm.Count()
 	var agg dp.Aggregate
 	var bounds dp.Bounds
 	var v float64
@@ -927,7 +983,7 @@ func (s *Server) dpAnswer(principal string, snap *store.Snapshot, q Query, bm *s
 			// charged.
 			return Answer{Denied: true, Reason: "differential privacy: empty query set"}, nil
 		}
-		sum := snap.Sum(bm, j)
+		sum := set.total(snap, j)
 		if q.Agg == Sum {
 			agg = dp.Sum
 			v = sum
@@ -1035,10 +1091,11 @@ func (s *Server) sampled(snap *store.Snapshot, q Query, bm *store.Bitmap) (Answe
 	qh.Write([]byte(q.String()))
 	qkey := qh.Sum64() ^ s.cfg.Seed
 	// One ascending pass over the bitmap draws the per-record inclusion
-	// coins and accumulates count and sum together — same visit order and
-	// float64 summation order as the seed's row-slice loop.
-	var included int
-	var sum float64
+	// coins into a sample bitmap; the sample's sum is then one Sum sweep,
+	// which acquires each segment once rather than once per sampled row and
+	// adds the sampled values in the same ascending row order as a
+	// row-at-a-time loop.
+	sample := store.NewBitmap(bm.Len())
 	bm.ForEach(func(i int) {
 		h := (uint64(i) + 0x9e3779b97f4a7c15) * 0xff51afd7ed558ccd
 		h ^= qkey
@@ -1046,12 +1103,14 @@ func (s *Server) sampled(snap *store.Snapshot, q Query, bm *store.Bitmap) (Answe
 		h *= 0xc4ceb9fe1a85ec53
 		h ^= h >> 33
 		if float64(h%1_000_003)/1_000_003 < s.cfg.SampleRate {
-			included++
-			if j >= 0 {
-				sum += snap.Float(i, j)
-			}
+			sample.Set(i)
 		}
 	})
+	included := sample.Count()
+	var sum float64
+	if j >= 0 {
+		sum = snap.Sum(sample, j)
+	}
 	switch q.Agg {
 	case Count:
 		return Answer{Value: float64(included) / s.cfg.SampleRate}, nil
@@ -1074,13 +1133,13 @@ func (s *Server) sampled(snap *store.Snapshot, q Query, bm *store.Bitmap) (Answe
 // the pinned snapshot, so an audit in flight reasons about one consistent
 // version even while ingest continues; only the atomic would-disclose
 // check plus commit serialize on stateMu.
-func (s *Server) audited(snap *store.Snapshot, q Query, bm *store.Bitmap, n int) (Answer, error) {
-	v, err := s.evalBitmap(snap, q, bm, n)
+func (s *Server) audited(snap *store.Snapshot, q Query, set *evalSet, n int) (Answer, error) {
+	v, err := s.evalBitmap(snap, q, set, n)
 	if err != nil {
 		return Answer{}, err
 	}
 	indicator := make([]float64, snap.Rows())
-	bm.ForEach(func(i int) { indicator[i] = 1 })
+	set.bm.ForEach(func(i int) { indicator[i] = 1 })
 	key := q.Attr
 	switch q.Agg {
 	case Count:

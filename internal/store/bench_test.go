@@ -95,6 +95,72 @@ func BenchmarkEvalLoop8x100k(b *testing.B) {
 	}
 }
 
+// BenchmarkSumBatch16Spilled adds up sixteen query sets in one SumBatch
+// sweep over a store whose segments are mostly served from disk;
+// BenchmarkSumLoop16Spilled sums the same sets one Sum at a time, decoding
+// every spilled segment once per query — the pair quantifies what the
+// batch's single decode per segment saves.
+func spilledBenchSums(b *testing.B) (*Snapshot, []*Bitmap, []int) {
+	b.Helper()
+	d, err := dataset.Synth("trial", 16*1024, 20070923)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	s, err := Create(dir, d.Attrs(), Options{SegmentSize: 1024})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.AppendDataset(d); err != nil {
+		b.Fatal(err)
+	}
+	footprint := s.TierStats().ResidentBytes
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if s, err = Open(dir, Options{MemCap: footprint / 4}); err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { s.Close() })
+	snap := s.Snapshot()
+	bp := snap.Index("blood_pressure")
+	bms := make([]*Bitmap, 16)
+	cols := make([]int, 16)
+	for k := range bms {
+		if bms[k], err = snap.Eval([]Cond{{Col: "height", Op: Ge, V: float64(150 + 2*k)}}); err != nil {
+			b.Fatal(err)
+		}
+		cols[k] = bp
+	}
+	// Settle the tiers: the first sweep promotes segments up to the cap.
+	snap.SumBatch(bms, cols)
+	if s.TierStats().Spilled == 0 {
+		b.Fatal("no segment spilled")
+	}
+	return snap, bms, cols
+}
+
+// sumSink keeps the compiler from dropping the benchmarked sums.
+var sumSink float64
+
+func BenchmarkSumBatch16Spilled(b *testing.B) {
+	snap, bms, cols := spilledBenchSums(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sumSink = snap.SumBatch(bms, cols)[0]
+	}
+}
+
+func BenchmarkSumLoop16Spilled(b *testing.B) {
+	snap, bms, cols := spilledBenchSums(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range bms {
+			sumSink = snap.Sum(bms[k], cols[k])
+		}
+	}
+}
+
 // sumFullSweep is the pre-optimisation Sum loop (no zero-word or zero-
 // segment skipping), kept as the baseline BenchmarkSumSparse* measures the
 // popcount-guided skip against. Identical summation order, so both produce

@@ -38,6 +38,8 @@
 // run off the bitmap: COUNT is a popcount, SUM/AVG a bitmap-driven sweep
 // of the column in ascending row order — the identical float64 summation
 // order as the scan path, so indexed answers are byte-identical to it.
+// SumBatch runs that sweep for many (bitmap, column) pairs at once,
+// visiting each segment once for all of them.
 // Sealed segments are partitioned into goroutine-owned shards and queries
 // scatter one task per shard rather than per segment; see shard.go for the
 // execution model and the determinism argument.
@@ -481,48 +483,92 @@ func (s *Snapshot) Count(bm *Bitmap) int { return bm.Count() }
 
 // Sum adds up column col over the rows of bm in ascending row order — the
 // identical float64 summation order as a sequential scan, which is what
-// keeps indexed SUM/AVG answers byte-identical to the scan path. Zero
-// words contribute nothing to the sum, so they are skipped before any bit
-// iteration, and a segment whose whole window is zero is skipped before
-// its column is even touched — sparse selections over wide segments pay
-// for the rows they select, not for the full sweep. Adding zero terms in
-// order and skipping them produce the same float64, so the skips cannot
-// change a single byte of the answer. It panics if col is not numeric,
-// mirroring dataset.NumColumn.
+// keeps indexed SUM/AVG answers byte-identical to the scan path. It is the
+// one-pair case of SumBatch and allocation-free. It panics if col is not
+// numeric, mirroring dataset.NumColumn.
 func (s *Snapshot) Sum(bm *Bitmap, col int) float64 {
-	if s.store.attrs[col].Kind != dataset.Numeric {
-		panic(fmt.Sprintf("store: attribute %q is not numeric", s.store.attrs[col].Name))
+	var sum [1]float64
+	s.sumInto([]*Bitmap{bm}, []int{col}, sum[:])
+	return sum[0]
+}
+
+// SumBatch returns, for every pair k, the sum of column cols[k] over the
+// rows of bms[k] — each bit-identical to Sum(bms[k], cols[k]). The point is
+// the tiered store: the pairs are added up in one ascending sweep over the
+// segments that acquires each segment at most once for the whole batch,
+// so a spilled segment is decoded once rather than once per query. Every
+// bitmap must cover the snapshot's rows, as Eval's do. It panics if the
+// slices differ in length or a column is not numeric.
+func (s *Snapshot) SumBatch(bms []*Bitmap, cols []int) []float64 {
+	if len(bms) != len(cols) {
+		panic(fmt.Sprintf("store: SumBatch got %d bitmaps and %d columns", len(bms), len(cols)))
 	}
-	var sum float64
+	sums := make([]float64, len(bms))
+	s.sumInto(bms, cols, sums)
+	return sums
+}
+
+// sumInto is the one summation kernel behind Sum and SumBatch. Segments
+// are visited in ascending order and, inside each, every pair adds its
+// rows in ascending order into its own running float64, so pair k sees
+// exactly the additions a lone Sum would make, in the same order — float
+// addition is never reassociated. Zero words contribute nothing, so they
+// are skipped before any bit iteration, and a segment whose window is zero
+// for every pair is skipped before it is acquired: sparse selections pay
+// for the rows they select, and a spilled segment nobody selects is never
+// decoded. Adding zero terms in order and skipping them produce the same
+// float64, so the skips cannot change a single byte of the answer.
+func (s *Snapshot) sumInto(bms []*Bitmap, cols []int, sums []float64) {
+	for _, col := range cols {
+		if s.store.attrs[col].Kind != dataset.Numeric {
+			panic(fmt.Sprintf("store: attribute %q is not numeric", s.store.attrs[col].Name))
+		}
+	}
 	for _, sg := range s.segs {
-		words := sg.window(bm.words)
-		if !anyWord(words) {
+		if !sg.anySelected(bms) {
 			continue
 		}
 		d, release := sg.acquire()
-		colv := d.nums[col]
-		for wi, w := range words {
-			if w == 0 {
-				continue
-			}
-			base := wi << 6
-			for w != 0 {
-				sum += colv[base+bits.TrailingZeros64(w)]
-				w &= w - 1
-			}
+		for k, bm := range bms {
+			sums[k] = addSelected(sums[k], sg.window(bm.words), d.nums[cols[k]])
 		}
 		release()
 	}
 	if s.tailLen > 0 {
+		// The tail starts on a word boundary (segment sizes are multiples
+		// of 64), so its rows are the words after the last segment's window.
 		base := len(s.segs) * s.store.segSize
-		colv := s.tailNums[col]
-		for i := 0; i < s.tailLen; i++ {
-			if bm.Get(base + i) {
-				sum += colv[i]
-			}
+		for k, bm := range bms {
+			sums[k] = addSelected(sums[k], bm.words[base>>6:], s.tailNums[cols[k]])
+		}
+	}
+}
+
+// addSelected adds colv's values at the rows set in words to sum, in
+// ascending row order, and returns the new running sum.
+func addSelected(sum float64, words []uint64, colv []float64) float64 {
+	for wi, w := range words {
+		if w == 0 {
+			continue
+		}
+		base := wi << 6
+		for w != 0 {
+			sum += colv[base+bits.TrailingZeros64(w)]
+			w &= w - 1
 		}
 	}
 	return sum
+}
+
+// anySelected reports whether any of the bitmaps selects a row of the
+// segment.
+func (sg *segment) anySelected(bms []*Bitmap) bool {
+	for _, bm := range bms {
+		if anyWord(sg.window(bm.words)) {
+			return true
+		}
+	}
+	return false
 }
 
 // Float returns the numeric value at (row i, column col). It panics on a
