@@ -8,13 +8,16 @@ all: build vet test
 # full test suite under the race detector — the parallel analytics engine
 # (internal/par and every kernel on it) and the concurrent HTTP serving
 # layer rely on -race to enforce their data-race guarantees on every change
-# — and one short-mode pass over the benchmarks (-benchtime 1x) so
-# benchmark code cannot bit-rot. perfbench is its own module, so the root
+# — a ten-second fuzz of the segment index path against the compiled scan
+# (FuzzEvalMatchesScan; plain `go test` replays its checked-in corpus), and
+# one short-mode pass over the benchmarks (-benchtime 1x) so benchmark code
+# cannot bit-rot. perfbench is its own module, so the root
 # ./... never compiles it; it is vetted and tested separately because it
 # imports the store and sdcquery APIs.
 check: lint
 	$(GO) build ./...
 	$(GO) test -race ./...
+	$(GO) test -run '^$$' -fuzz '^FuzzEvalMatchesScan$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 

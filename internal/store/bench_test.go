@@ -30,16 +30,38 @@ var benchConds = []Cond{
 	{Col: "aids", Op: Eq, S: "Y", Str: true},
 }
 
-func BenchmarkEvalIndexed100k(b *testing.B) {
+func BenchmarkEvalIndexed100k(b *testing.B) { benchEval(b, benchConds) }
+
+// BenchmarkEvalMajorityCat100k and BenchmarkEvalWideBand100k are the wide
+// cases of the index path: an equality on the 92% value of aids, and a
+// height band selecting about 80% of the rows. Each conjunct's permutation
+// range covers most of every segment, so they measure the cost of filling
+// a range that selects the majority of a segment.
+func BenchmarkEvalMajorityCat100k(b *testing.B) {
+	benchEval(b, []Cond{
+		{Col: "aids", Op: Eq, S: "N", Str: true},
+		{Col: "height", Op: Ge, V: 170}, // height is N(170, 9): a one-sd band
+		{Col: "height", Op: Lt, V: 179},
+	})
+}
+
+func BenchmarkEvalWideBand100k(b *testing.B) {
+	benchEval(b, []Cond{
+		{Col: "height", Op: Ge, V: 158},
+		{Col: "height", Op: Lt, V: 182},
+	})
+}
+
+func benchEval(b *testing.B, conds []Cond) {
 	snap := benchSnapshot(b, 100_000)
 	bp := snap.Index("blood_pressure")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bm, err := snap.Eval(benchConds)
+		bm, err := snap.Eval(conds)
 		if err != nil {
 			b.Fatal(err)
 		}
-		_ = snap.Sum(bm, bp)
+		sumSink = snap.Sum(bm, bp)
 	}
 }
 

@@ -335,6 +335,7 @@ func decodeBlock(br *blockReader, magic string, attrs []dataset.Attribute, withI
 			if len(ni.sorted) > 0 {
 				ni.min, ni.max = ni.sorted[0], ni.sorted[len(ni.sorted)-1]
 			}
+			ni.fence = buildFence(ni.sorted)
 			d.nidx[j] = ni
 		} else {
 			if d.cats[j], err = br.u32s(rows); err != nil {

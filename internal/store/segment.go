@@ -122,6 +122,10 @@ type numIndex struct {
 	// copy so range binary searches don't chase the permutation.
 	perm   []uint32
 	sorted []float64
+	// fence[k] is sorted[64k]: the bound searches run over it first, then
+	// over one 64-value block of sorted (see lower/upper). Derived from
+	// sorted at build and at decode; not part of the segment file.
+	fence []float64
 	// nan lists the rows whose value is NaN. They fail every comparison
 	// except !=, exactly as the row-at-a-time scan path treats them.
 	nan []uint32
@@ -170,7 +174,10 @@ func buildSegData(nums [][]float64, cats [][]uint32) *segData {
 }
 
 // footprint estimates the decoded byte size of the segData (columns plus
-// indexes) for the resident-tier memory accounting.
+// indexes) for the resident-tier memory accounting. The numeric fences are
+// left out: each is at most 1/64 of its sorted copy, and counting them
+// would change the Decoded sizes a manifest records and what fits under a
+// memory cap for data directories written before the fences existed.
 func (d *segData) footprint() int64 {
 	var b int64
 	for _, col := range d.nums {
@@ -210,6 +217,7 @@ func buildNumIndex(col []float64) numIndex {
 	for k, r := range idx.perm {
 		idx.sorted[k] = col[r]
 	}
+	idx.fence = buildFence(idx.sorted)
 	if len(idx.sorted) > 0 {
 		idx.min, idx.max = idx.sorted[0], idx.sorted[len(idx.sorted)-1]
 	}
@@ -275,7 +283,7 @@ func (d *segData) step(first *bool, words, scratch []uint64, fill func([]uint64)
 }
 
 // evalInterval fills out with the rows inside one merged interval — a
-// single contiguous range of the sorted permutation found by two binary
+// single contiguous range of the sorted permutation found by two fenced
 // searches, however many range conditions produced it. NaN rows are not in
 // perm, so they fail the interval exactly as they fail every ordered
 // comparison in the scan path.
@@ -300,22 +308,21 @@ func (d *segData) evalInterval(iv *numInterval, out []uint64) {
 	}
 	var lo, hi int
 	if iv.loIncl {
-		lo = lowerBound(idx.sorted, iv.lo)
+		lo = idx.lower(iv.lo, 0)
 	} else {
-		lo = upperBound(idx.sorted, iv.lo)
+		lo = idx.upper(iv.lo, 0)
 	}
+	// The interval is not vacuous, so its upper bound lies at or after lo.
 	if iv.hiIncl {
-		hi = upperBound(idx.sorted, iv.hi)
+		hi = idx.upper(iv.hi, lo)
 	} else {
-		hi = lowerBound(idx.sorted, iv.hi)
+		hi = idx.lower(iv.hi, lo)
 	}
-	for _, r := range idx.perm[lo:hi] {
-		setBit(out, r)
-	}
+	fillRange(out, d.n, idx.perm, idx.nan, lo, hi, true)
 }
 
-// evalCond fills out (assumed zero) with the rows matching one condition,
-// via the column's index — never a row sweep.
+// evalCond fills out (assumed zero) with the rows matching one residual
+// condition, via the column's index — never a row sweep.
 func (d *segData) evalCond(c compiledCond, out []uint64) {
 	if c.numeric {
 		d.evalNum(c, out)
@@ -324,120 +331,69 @@ func (d *segData) evalCond(c compiledCond, out []uint64) {
 	}
 }
 
+// evalNum answers a numeric !=, the only numeric operator planConds leaves
+// in the residual list (every ordered or equality condition merges into an
+// interval). Every row matches except the equal range, NaN rows included:
+// NaN != v, and v != NaN holds for every row.
 func (d *segData) evalNum(c compiledCond, out []uint64) {
 	idx := &d.nidx[c.col]
-	if math.IsNaN(c.v) {
-		// v OP NaN is false for every ordered comparison and for ==;
-		// v != NaN is true for every v (including NaN).
-		if c.op == Ne {
-			setAllSegment(out, d.n)
-		}
+	if math.IsNaN(c.v) || len(idx.sorted) == 0 || c.v < idx.min || c.v > idx.max {
+		setAllSegment(out, d.n) // zone-map accept: no row holds v
 		return
 	}
-	if len(idx.sorted) == 0 {
-		// Every value NaN: fails everything except !=.
-		if c.op == Ne {
-			setAllSegment(out, d.n)
-		}
-		return
-	}
-	// Zone-map skip/accept: when [min,max] puts the whole segment on one
-	// side of the comparison, answer without a binary search. Accepting all
-	// additionally requires no NaN rows (perm covers the segment); Ne's
-	// accept does not, since NaN != v.
-	allNonNaN := len(idx.perm) == d.n
-	switch c.op {
-	case Lt:
-		if c.v <= idx.min {
-			return
-		}
-		if c.v > idx.max && allNonNaN {
-			setAllSegment(out, d.n)
-			return
-		}
-	case Le:
-		if c.v < idx.min {
-			return
-		}
-		if c.v >= idx.max && allNonNaN {
-			setAllSegment(out, d.n)
-			return
-		}
-	case Gt:
-		if c.v >= idx.max {
-			return
-		}
-		if c.v < idx.min && allNonNaN {
-			setAllSegment(out, d.n)
-			return
-		}
-	case Ge:
-		if c.v > idx.max {
-			return
-		}
-		if c.v <= idx.min && allNonNaN {
-			setAllSegment(out, d.n)
-			return
-		}
-	case Eq:
-		if c.v < idx.min || c.v > idx.max {
-			return
-		}
-		if c.v == idx.min && c.v == idx.max && allNonNaN {
-			setAllSegment(out, d.n)
-			return
-		}
-	case Ne:
-		if c.v < idx.min || c.v > idx.max {
-			setAllSegment(out, d.n)
-			return
-		}
-	}
-	// Range [lo, hi) in the sorted permutation holding the matching rows
-	// (for the positive operators).
-	var lo, hi int
-	switch c.op {
-	case Lt:
-		lo, hi = 0, lowerBound(idx.sorted, c.v)
-	case Le:
-		lo, hi = 0, upperBound(idx.sorted, c.v)
-	case Gt:
-		lo, hi = upperBound(idx.sorted, c.v), len(idx.sorted)
-	case Ge:
-		lo, hi = lowerBound(idx.sorted, c.v), len(idx.sorted)
-	case Eq:
-		lo, hi = lowerBound(idx.sorted, c.v), upperBound(idx.sorted, c.v)
-	case Ne:
-		// Everything (NaN rows included: NaN != v) except the equal range.
-		setAllSegment(out, d.n)
-		for _, r := range idx.perm[lowerBound(idx.sorted, c.v):upperBound(idx.sorted, c.v)] {
-			clearBit(out, r)
-		}
-		return
-	}
-	for _, r := range idx.perm[lo:hi] {
-		setBit(out, r)
-	}
+	lo := idx.lower(c.v, 0)
+	fillRange(out, d.n, idx.perm, idx.nan, lo, idx.upper(c.v, lo), false)
 }
 
+// evalCat answers a categorical = or != from the code-sorted posting
+// index: the code's equal range, selected or excluded.
 func (d *segData) evalCat(c compiledCond, out []uint64) {
 	idx := &d.cidx[c.col]
-	switch c.op {
-	case Eq:
-		if !c.codeOK || len(idx.sorted) == 0 || c.code < idx.min || c.code > idx.max {
-			return // value absent from the dictionary or outside the zone
+	if !c.codeOK || len(idx.sorted) == 0 || c.code < idx.min || c.code > idx.max {
+		// Value absent from the dictionary or outside the zone: = matches
+		// nothing, != everything.
+		if c.op == Ne {
+			setAllSegment(out, d.n)
 		}
-		for _, r := range idx.perm[lowerBound32(idx.sorted, c.code):upperBound32(idx.sorted, c.code)] {
+		return
+	}
+	lo := lowerBound(idx.sorted, c.code)
+	hi := lo + upperBound(idx.sorted[lo:], c.code)
+	fillRange(out, d.n, idx.perm, nil, lo, hi, c.op == Eq)
+}
+
+// fillRange writes out (assumed zero) for one index-path conjunct. The
+// segment's rows split into the inside of the permutation range, perm[lo:hi],
+// and the outside: perm[:lo], perm[hi:] and the rows in nan, which are not
+// in perm. keepInside selects the inside; otherwise the outside is selected.
+// Either way only the smaller side is walked: when the selected side is
+// the larger one, the whole segment is set and the other side cleared.
+// The bits are the same — the walk costs min(inside, outside) rows instead
+// of the selected side's, which for a majority value is most of the segment.
+func fillRange(out []uint64, n int, perm, nan []uint32, lo, hi int, keepInside bool) {
+	insideSmall := 2*(hi-lo) <= n
+	if insideSmall != keepInside {
+		setAllSegment(out, n)
+	}
+	if insideSmall {
+		walkRows(out, perm[lo:hi], keepInside)
+		return
+	}
+	walkRows(out, perm[:lo], !keepInside)
+	walkRows(out, perm[hi:], !keepInside)
+	walkRows(out, nan, !keepInside)
+}
+
+// walkRows sets (set) or clears (!set) every row in rows.
+func walkRows(out []uint64, rows []uint32, set bool) {
+	if set {
+		for _, r := range rows {
 			setBit(out, r)
 		}
-	case Ne:
-		setAllSegment(out, d.n)
-		if !c.codeOK || len(idx.sorted) == 0 || c.code < idx.min || c.code > idx.max {
-			return
-		}
-		for _, r := range idx.perm[lowerBound32(idx.sorted, c.code):upperBound32(idx.sorted, c.code)] {
-			clearBit(out, r)
-		}
+		return
+	}
+	for _, r := range rows {
+		clearBit(out, r)
 	}
 }
 
@@ -451,20 +407,78 @@ func setAllSegment(out []uint64, n int) {
 	}
 }
 
+// fenceShift sets the fence stride of a numeric index: fence[k] is
+// sorted[k<<fenceShift]. A 64-value block of sorted is 512 bytes, and an
+// 8192-row segment's fence is 128 entries (1 KiB) that stay cache-resident
+// across queries, where a plain binary search would make 13 probes over
+// the cold 64 KiB sorted array.
+const fenceShift = 6
+
+// buildFence samples every 64th value of sorted.
+func buildFence(sorted []float64) []float64 {
+	fence := make([]float64, (len(sorted)+1<<fenceShift-1)>>fenceShift)
+	for k := range fence {
+		fence[k] = sorted[k<<fenceShift]
+	}
+	return fence
+}
+
+// lower returns the first k with sorted[k] >= v. The caller guarantees the
+// answer is at least from, so the search starts there.
+func (idx *numIndex) lower(v float64, from int) int {
+	f := (from + 1<<fenceShift - 1) >> fenceShift
+	lo, hi := idx.block(f+lowerBound(idx.fence[f:], v), from)
+	return lo + lowerBound(idx.sorted[lo:hi], v)
+}
+
+// upper returns the first k with sorted[k] > v, the answer being at least
+// from.
+func (idx *numIndex) upper(v float64, from int) int {
+	f := (from + 1<<fenceShift - 1) >> fenceShift
+	lo, hi := idx.block(f+upperBound(idx.fence[f:], v), from)
+	return lo + upperBound(idx.sorted[lo:hi], v)
+}
+
+// block narrows a bound search to one block of sorted. k is the first
+// fence entry satisfying the bound's predicate (len(fence) if none does):
+// the predicate holds at sorted[k·64] and fails at sorted[(k-1)·64], so the
+// answer lies in ((k-1)·64, k·64] ∩ [from, len(sorted)], and the returned
+// [lo, hi) holds it unless it is hi itself. Since the answer is at least
+// from, k is at least ceil(from/64), where the callers start the fence
+// search.
+func (idx *numIndex) block(k, from int) (lo, hi int) {
+	if k == 0 {
+		return 0, 0
+	}
+	lo = max((k-1)<<fenceShift+1, from)
+	hi = min(k<<fenceShift, len(idx.sorted))
+	return lo, hi
+}
+
 // lowerBound returns the first index with s[i] >= v.
-func lowerBound(s []float64, v float64) int {
-	return sort.Search(len(s), func(i int) bool { return s[i] >= v })
+func lowerBound[T float64 | uint32](s []T, v T) int {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s[m] >= v {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
 }
 
 // upperBound returns the first index with s[i] > v.
-func upperBound(s []float64, v float64) int {
-	return sort.Search(len(s), func(i int) bool { return s[i] > v })
-}
-
-func lowerBound32(s []uint32, v uint32) int {
-	return sort.Search(len(s), func(i int) bool { return s[i] >= v })
-}
-
-func upperBound32(s []uint32, v uint32) int {
-	return sort.Search(len(s), func(i int) bool { return s[i] > v })
+func upperBound[T float64 | uint32](s []T, v T) int {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s[m] > v {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
 }

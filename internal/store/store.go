@@ -32,9 +32,13 @@
 //
 // Evaluation. Eval answers a conjunction of conditions with one bitmap per
 // snapshot: per segment, each condition resolves to a permutation range
-// (binary search over the sorted index, zone map for whole-segment
-// skip/accept) whose rows are set in the segment's word-aligned bitmap
-// window, and conditions intersect word-parallel (Bitmap). Aggregates then
+// (zone map for whole-segment skip/accept, else a search of the numeric
+// index's cache-resident fence of every 64th sorted value and then of one
+// 64-value block) that selects either its inside or — for != — its
+// outside. The range fills the segment's word-aligned bitmap window from
+// its smaller side: a side selecting most of the segment becomes a word
+// fill with the other side's rows cleared. Conditions intersect
+// word-parallel (Bitmap). Aggregates then
 // run off the bitmap: COUNT is a popcount, SUM/AVG a bitmap-driven sweep
 // of the column in ascending row order — the identical float64 summation
 // order as the scan path, so indexed answers are byte-identical to it.

@@ -115,31 +115,132 @@ func TestEvalMatchesScanAndBrute(t *testing.T) {
 	ycol := snap.Index("y")
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 500; trial++ {
-		conds := randConds(rng)
-		want := bruteEval(d, conds)
-		idx, err := snap.Eval(conds)
-		if err != nil {
-			t.Fatalf("Eval(%v): %v", conds, err)
+		checkEval(t, d, snap, randConds(rng), ycol)
+	}
+}
+
+// checkEval asserts that the indexed path, the compiled scan path and the
+// naive reference agree bit for bit on one conjunction, and that SUM of
+// column col over the indexed bitmap equals the sequential reference sum
+// exactly (same float64 order).
+func checkEval(t *testing.T, d *dataset.Dataset, snap *Snapshot, conds []Cond, col int) {
+	t.Helper()
+	want := bruteEval(d, conds)
+	idx, err := snap.Eval(conds)
+	if err != nil {
+		t.Fatalf("Eval(%v): %v", conds, err)
+	}
+	scan, err := snap.EvalScan(conds)
+	if err != nil {
+		t.Fatalf("EvalScan(%v): %v", conds, err)
+	}
+	var refSum float64
+	for i, w := range want {
+		if idx.Get(i) != w {
+			t.Fatalf("Eval(%v) row %d = %v, want %v", conds, i, idx.Get(i), w)
 		}
-		scan, err := snap.EvalScan(conds)
-		if err != nil {
-			t.Fatalf("EvalScan(%v): %v", conds, err)
+		if scan.Get(i) != w {
+			t.Fatalf("EvalScan(%v) row %d = %v, want %v", conds, i, scan.Get(i), w)
 		}
-		var refSum float64
-		for i, w := range want {
-			if idx.Get(i) != w {
-				t.Fatalf("Eval(%v) row %d = %v, want %v", conds, i, idx.Get(i), w)
+		if w {
+			refSum += d.Float(i, col)
+		}
+	}
+	if got := snap.Sum(idx, col); math.Float64bits(got) != math.Float64bits(refSum) {
+		t.Fatalf("Sum(%v) = %x, want %x (byte identity)", conds, math.Float64bits(got), math.Float64bits(refSum))
+	}
+}
+
+// fullSegmentRows builds 20 000 rows over testSchema at DefaultSegmentSize:
+// two sealed segments and a 3 616-row tail. In segment 0, x holds the
+// majority value 5 in about 60% of rows and NaN in about 6%; segment 1 is
+// all NaN in x; c is "N" in about 90% of rows and "Y" otherwise.
+func fullSegmentRows() *dataset.Dataset {
+	rng := rand.New(rand.NewSource(11))
+	d := dataset.New(testSchema()...)
+	for i := 0; i < 20000; i++ {
+		x := math.Floor(rng.Float64() * 20)
+		switch {
+		case i/DefaultSegmentSize == 1 || rng.Intn(17) == 0:
+			x = math.NaN()
+		case i < DefaultSegmentSize && rng.Intn(10) < 6:
+			x = 5
+		}
+		c := "N"
+		if rng.Intn(10) == 0 {
+			c = "Y"
+		}
+		d.MustAppend(x, rng.NormFloat64()*10, c, []string{"", "p"}[rng.Intn(2)])
+	}
+	return d
+}
+
+// fullSegmentConds lists the conjuncts of the full-segment test: ranges
+// selecting more and less than half of a segment, = and != on both codes of
+// the 90/10 column, and != on the majority and on a minority value.
+func fullSegmentConds() [][]Cond {
+	return [][]Cond{
+		{{Col: "y", Op: Ge, V: -15}, {Col: "y", Op: Lt, V: 15}}, // ~87%
+		{{Col: "y", Op: Ge, V: 0}, {Col: "y", Op: Lt, V: 2}},    // ~8%
+		{{Col: "y", Op: Gt, V: 0}},                              // ~50%
+		{{Col: "y", Op: Le, V: -6}},                             // ~27%
+		{{Col: "x", Op: Eq, V: 5}},                              // majority value
+		{{Col: "x", Op: Ge, V: 3}, {Col: "x", Op: Le, V: 15}},
+		{{Col: "x", Op: Ne, V: 5}},
+		{{Col: "x", Op: Ne, V: 7}},
+		{{Col: "x", Op: Ne, V: math.NaN()}},
+		{{Col: "c", Op: Eq, S: "N", Str: true}},
+		{{Col: "c", Op: Eq, S: "Y", Str: true}},
+		{{Col: "c", Op: Ne, S: "N", Str: true}},
+		{{Col: "c", Op: Ne, S: "Y", Str: true}},
+		{{Col: "d", Op: Ne, Str: true}},
+	}
+}
+
+// TestEvalMatchesScanAndBruteFullSegments is TestEvalMatchesScanAndBrute
+// at the real segment size, where the fenced searches cross 128 fence
+// entries and conjuncts fill from either side of their range: every
+// conjunct alone and every pair agree across Eval, EvalScan and the naive
+// reference, in memory and again on a durable store reopened under a
+// memory cap, whose segments are decoded from disk with rebuilt fences.
+func TestEvalMatchesScanAndBruteFullSegments(t *testing.T) {
+	d := fullSegmentRows()
+	atoms := fullSegmentConds()
+	check := func(snap *Snapshot) {
+		ycol := snap.Index("y")
+		for i, a := range atoms {
+			checkEval(t, d, snap, a, ycol)
+			for _, b := range atoms[i+1:] {
+				checkEval(t, d, snap, append(append([]Cond{}, a...), b...), ycol)
 			}
-			if scan.Get(i) != w {
-				t.Fatalf("EvalScan(%v) row %d = %v, want %v", conds, i, scan.Get(i), w)
-			}
-			if w {
-				refSum += d.Float(i, ycol)
-			}
 		}
-		if got := snap.Sum(idx, ycol); math.Float64bits(got) != math.Float64bits(refSum) {
-			t.Fatalf("Sum(%v) = %x, want %x (byte identity)", conds, math.Float64bits(got), math.Float64bits(refSum))
-		}
+	}
+	s, err := FromDatasetSharded(d, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(s.Snapshot())
+
+	dir := t.TempDir()
+	w, err := Create(dir, d.Attrs(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendDataset(d); err != nil {
+		t.Fatal(err)
+	}
+	footprint := w.TierStats().ResidentBytes
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(dir, Options{MemCap: footprint / 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	check(r.Snapshot())
+	if st := r.TierStats(); st.Spilled == 0 || st.PagerMisses == 0 {
+		t.Fatalf("capped store never decoded from disk: %+v", st)
 	}
 }
 
